@@ -8,12 +8,13 @@ This module evaluates the per-source-pair yield of each round via
 * ``yield_oracle``: exhaustive herald-branch enumeration in exact rational
   arithmetic, with a per-source-pair inventory (round n is fed by 2**n
   source pairs per attempt);
-* ``monte_carlo_yield``: seeded sampling of the same herald tree.
+* ``monte_carlo_yield``: seeded sampling of the herald tree whose branch
+  probabilities an ``IterationLedger`` already walked.
 
 The closed-form series and the enumeration agree for rounds 1 and 2 but
-not beyond; ``compare_yield`` tabulates all voices side by side and flags
-every difference above tolerance as a documented discrepancy instead of
-failing or hiding it.  The enumeration is the authority.
+not beyond; ``compare_yield`` tabulates both side by side and flags every
+difference above tolerance as a documented discrepancy instead of failing
+or hiding it.  The enumeration is the authority.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ConfigError
+from .optics import QndConfig
 from .protocols import (
+    KEEP,
+    RECYCLE,
+    IterationLedger,
     SingleRailPair,
-    Tag,
-    concentration_round,
-    recyclable_to_pair,
+    herald_action,
 )
 
 #: formula-vs-oracle differences above this are reported as discrepancies
@@ -116,8 +119,19 @@ def _two_copy_branches(x: Fraction) -> dict[tuple[int, int], Fraction]:
     return {(0, 0): x * x, (0, 1): x * y, (1, 0): y * x, (1, 1): y * y}
 
 
+def _probe_actions(qnd_theta: float) -> set[str]:
+    """Herald actions the probe at ``qnd_theta`` can report on two pairs.
+
+    The same rule the state-vector walk applies: ``herald_action`` over
+    the probe's outcome classes for up to two monitored photons.  No
+    amplitude is read.
+    """
+    probe = QndConfig(monitored=("b1", "b2"), theta=qnd_theta)
+    return {herald_action(cls) for cls in probe.outcome_classes(2)}
+
+
 def yield_oracle(
-    alpha: complex, beta: complex, n_rounds: int
+    alpha: complex, beta: complex, n_rounds: int, qnd_theta: float = math.pi
 ) -> list[OracleRound]:
     """Exhaustive herald-tree enumeration of iterated concentration.
 
@@ -127,7 +141,9 @@ def yield_oracle(
     the beam-splitter/detector reduction to obtain the next round's pair
     weight, and a deterministic-fraction inventory tracks attempts per
     source pair (round 1 starts at one attempt per two pairs, each later
-    attempt eats two recycled survivors).
+    attempt eats two recycled survivors).  A probe without a one-photon
+    class keeps nothing, and one without the merged {0, 2} class recycles
+    nothing, so later rounds see no attempts.
     """
     if n_rounds < 1:
         raise ConfigError(f"need at least one round, got {n_rounds}")
@@ -141,14 +157,16 @@ def yield_oracle(
     if a_sq + b_sq == 0:
         raise ConfigError("alpha and beta cannot both vanish")
     x = a_sq / (a_sq + b_sq)
+    actions = _probe_actions(qnd_theta)
+    zero = Fraction(0)
 
     half = Fraction(1, 2)
     attempts = half  # one attempt consumes two source pairs
     rounds: list[OracleRound] = []
     for n in range(1, n_rounds + 1):
         branches = _two_copy_branches(x)
-        p_keep = branches[(0, 1)] + branches[(1, 0)]
-        p_even = branches[(0, 0)] + branches[(1, 1)]
+        p_keep = branches[(0, 1)] + branches[(1, 0)] if KEEP in actions else zero
+        p_even = branches[(0, 0)] + branches[(1, 1)] if RECYCLE in actions else zero
         rounds.append(
             OracleRound(
                 round_index=n,
@@ -160,7 +178,7 @@ def yield_oracle(
             )
         )
         if p_even == 0:
-            attempts = Fraction(0)
+            attempts = zero
             continue
         # beam-splitter reduction of the merged branch: the second copy's
         # photon reaches either detector with weight 1/2, and both detector
@@ -196,15 +214,13 @@ class MonteCarloRound:
 
 @dataclass(frozen=True)
 class YieldReport:
-    """Side-by-side yield table: closed form, enumeration, sampling."""
+    """Side-by-side yield table: closed form next to the enumeration."""
 
     alpha: complex
     beta: complex
     terms: tuple[YieldTerm, ...]
     cumulative_formula: float
     cumulative_oracle: float
-    monte_carlo: tuple[MonteCarloRound, ...] | None
-    mc_trials: int
 
     @property
     def discrepancies(self) -> tuple[YieldTerm, ...]:
@@ -212,41 +228,28 @@ class YieldReport:
 
 
 def monte_carlo_yield(
-    alpha: complex,
-    beta: complex,
-    n_rounds: int,
-    trials: int,
-    seed: int = 0,
+    ledger: IterationLedger, trials: int, seed: int = 0
 ) -> list[MonteCarloRound]:
-    """Sample the herald tree on a population of ``trials`` source pairs.
+    """Sample the ledger's herald tree on a population of ``trials`` source pairs.
 
-    Each round's branch probabilities come from the exact state-vector
-    simulation of that round; the multinomial draws are the only
-    stochastic element and are fully determined by ``seed``.
+    Each round's success and recycle probabilities are the ones the
+    ledger's state-vector walk recorded; the multinomial draws are the
+    only stochastic element and are fully determined by ``seed``.
     """
     if trials < 1:
         raise ConfigError(f"need at least one source pair, got {trials}")
-    if n_rounds < 1:
-        raise ConfigError(f"need at least one round, got {n_rounds}")
     rng = np.random.default_rng(seed)
-    pair = SingleRailPair.from_coefficients(alpha, beta)
-    current: SingleRailPair | None = pair
     population = trials  # surviving pairs entering the current round
     out: list[MonteCarloRound] = []
-    for n in range(1, n_rounds + 1):
+    for entry in ledger.entries:
+        n = entry.round_index
         attempts = population // 2
-        if current is None or attempts == 0:
+        if entry.input_pair is None or attempts == 0:
             out.append(MonteCarloRound(n, attempts, 0, 0.0, 0.0))
             population = 0
             continue
-        branches = concentration_round(
-            current.with_modes("a1", "b1"), current.with_modes("a2", "b2")
-        )
-        p_success = math.fsum(
-            r.probability for r in branches if r.tag is Tag.SUCCESS
-        )
-        recyclables = [r for r in branches if r.tag is Tag.RECYCLABLE]
-        p_recycle = math.fsum(r.probability for r in recyclables)
+        p_success = entry.success_probability
+        p_recycle = entry.recycle_probability
         p_fail = max(0.0, 1.0 - p_success - p_recycle)
         pvals = np.array([p_success, p_recycle, p_fail], dtype=float)
         successes, recycles, _ = rng.multinomial(attempts, pvals / pvals.sum())
@@ -262,28 +265,27 @@ def monte_carlo_yield(
                 / trials,
             )
         )
-        current = (
-            recyclable_to_pair(recyclables[0]) if recyclables else None
-        )
         population = int(recycles)
     return out
 
 
 def compare_yield(
-    alpha: complex,
-    beta: complex,
-    n_rounds: int,
-    mc_trials: int = 0,
-    seed: int = 0,
+    alpha: complex, beta: complex, n_rounds: int, qnd_theta: float = math.pi
 ) -> YieldReport:
-    """Tabulate closed form vs enumeration (vs sampling) per round.
+    """Tabulate closed form vs enumeration per round at probe ``qnd_theta``.
 
     Any |formula - oracle| above ``YIELD_MATCH_TOL`` is carried in the
     report as a documented discrepancy with both values; nothing is
-    clipped or suppressed.
+    clipped or suppressed.  The closed form describes the pi probe's
+    tree; a round in which the configured probe keeps nothing (no
+    one-photon class, or no recycled input to attempt) has an exactly
+    zero oracle yield, and its formula value is 0 as well.
     """
-    formula = yield_series(alpha, beta, n_rounds)
-    oracle = yield_oracle(alpha, beta, n_rounds)
+    oracle = yield_oracle(alpha, beta, n_rounds, qnd_theta)
+    formula = [
+        value if o_round.yield_value else 0.0
+        for value, o_round in zip(yield_series(alpha, beta, n_rounds), oracle)
+    ]
     terms = []
     for f_val, o_round in zip(formula, oracle):
         o_val = float(o_round.yield_value)
@@ -298,19 +300,12 @@ def compare_yield(
                 matches=gap <= YIELD_MATCH_TOL,
             )
         )
-    mc = (
-        tuple(monte_carlo_yield(alpha, beta, n_rounds, mc_trials, seed))
-        if mc_trials > 0
-        else None
-    )
     return YieldReport(
         alpha=complex(alpha),
         beta=complex(beta),
         terms=tuple(terms),
         cumulative_formula=sum(formula),
         cumulative_oracle=float(sum(r.yield_value for r in oracle)),
-        monte_carlo=mc,
-        mc_trials=mc_trials,
     )
 
 

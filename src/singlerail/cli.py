@@ -24,7 +24,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analytics import compare_yield, entanglement_ratio
+from .analytics import (
+    MAX_ORACLE_ROUNDS,
+    compare_yield,
+    entanglement_ratio,
+    monte_carlo_yield,
+)
 from .errors import ConfigError, SingleRailError
 from .protocols import (
     SingleRailPair,
@@ -95,11 +100,13 @@ def _as_angle(value, key: str) -> float:
     return float(value)
 
 
-def _as_int(value, key: str, minimum: int) -> int:
+def _as_int(value, key: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -138,7 +145,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if "qnd_theta" in merged:
         cfg.qnd_theta = _as_angle(merged["qnd_theta"], "qnd_theta")
     if "rounds" in merged:
-        cfg.rounds = _as_int(merged["rounds"], "rounds", 1)
+        # the exact oracle enumerates at most this many rounds
+        cfg.rounds = _as_int(merged["rounds"], "rounds", 1, MAX_ORACLE_ROUNDS)
     if "swap_depth" in merged:
         cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1)
     if "trials" in merged:
@@ -226,15 +234,21 @@ def cmd_generate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     return header, rows, {"rows": len(rows)}
 
 
+def _amplitude_ratio(pair: SingleRailPair) -> float:
+    # min/max stays finite when the smaller amplitude underflows to 0
+    lo, hi = sorted((pair.alpha, abs(pair.beta)))
+    return lo / hi
+
+
 def cmd_swap_chain(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     header = ["alpha_sq", "n", "alpha_sq_n", "entanglement_ratio", "closed_form_check"]
     rows = []
     failures = 0
     for x in cfg.alpha_sq:
         pair = _pair(x, cfg.theta_ab)
-        base_ratio = pair.alpha / abs(pair.beta)
+        base_ratio = _amplitude_ratio(pair)
         for n, link in enumerate(swap_chain_trace(pair, cfg.swap_depth), start=1):
-            simulated = link.alpha / abs(link.beta)
+            simulated = _amplitude_ratio(link)
             closed = base_ratio ** (n + 1)
             ok = abs(simulated - closed) <= CLOSED_FORM_TOL * max(1.0, abs(closed))
             failures += 0 if ok else 1
@@ -250,6 +264,73 @@ def cmd_swap_chain(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     return header, rows, {"closed_form_failures": failures}
 
 
+def _yield_table(cfg: RunConfig, walk: bool) -> tuple[list[dict], dict]:
+    """Rows and summary of the per-round yield table at the configured probe.
+
+    With ``walk`` every grid point also gets one state-vector walk of the
+    herald tree (``success_prob``), and with ``trials`` the Monte Carlo
+    columns are sampled from that same walk.  Each row carries every
+    column; the header picks the ones a command prints.
+    """
+    rows = []
+    summaries = []
+    for x in cfg.alpha_sq:
+        pair = _pair(x, cfg.theta_ab)
+        ledger = (
+            iterate_concentration(pair, cfg.rounds, cfg.qnd_theta) if walk else None
+        )
+        mc = (
+            monte_carlo_yield(ledger, cfg.trials, cfg.seed)
+            if ledger is not None and cfg.trials > 0
+            else []
+        )
+        report = compare_yield(pair.alpha, pair.beta, cfg.rounds, cfg.qnd_theta)
+        cumulative = 0.0
+        for i, term in enumerate(report.terms):
+            cumulative += term.oracle_value
+            row = {
+                "alpha_sq": x,
+                "round": term.round_index,
+                "y_formula": term.value,
+                "y_oracle": term.oracle_value,
+                "discrepancy": term.discrepancy,
+                "formula_check": (
+                    "pass" if term.matches else "documented-discrepancy"
+                ),
+                "y_cumulative_oracle": cumulative,
+            }
+            if ledger is not None:
+                row["success_prob"] = ledger.entries[i].success_probability
+            if mc:
+                row["y_mc"] = mc[i].estimate
+                row["y_mc_stderr"] = mc[i].stderr
+            rows.append(row)
+        rows.append(
+            {
+                "alpha_sq": x,
+                "round": "total",
+                "y_formula": report.cumulative_formula,
+                "y_oracle": report.cumulative_oracle,
+                "formula_check": (
+                    "pass"
+                    if not report.discrepancies
+                    else "documented-discrepancy"
+                ),
+                "y_cumulative_oracle": report.cumulative_oracle,
+                "y_mc": sum(m.estimate for m in mc) if mc else None,
+            }
+        )
+        summaries.append(
+            {
+                "alpha_sq": x,
+                "total_yield_formula": _jvalue(report.cumulative_formula),
+                "total_yield_oracle": _jvalue(report.cumulative_oracle),
+                "documented_discrepancies": len(report.discrepancies),
+            }
+        )
+    return rows, {"per_alpha": summaries}
+
+
 def cmd_concentrate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     header = [
         "alpha_sq",
@@ -262,59 +343,7 @@ def cmd_concentrate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     ]
     if cfg.trials > 0:
         header += ["y_mc", "y_mc_stderr"]
-    rows = []
-    summaries = []
-    for x in cfg.alpha_sq:
-        pair = _pair(x, cfg.theta_ab)
-        ledger = iterate_concentration(pair, cfg.rounds, cfg.qnd_theta)
-        report = compare_yield(
-            pair.alpha, pair.beta, cfg.rounds, cfg.trials, cfg.seed
-        )
-        cumulative = 0.0
-        for entry, term in zip(ledger.entries, report.terms):
-            cumulative += term.oracle_value
-            row = {
-                "alpha_sq": x,
-                "round": entry.round_index,
-                "success_prob": entry.success_probability,
-                "y_formula": term.value,
-                "y_oracle": term.oracle_value,
-                "formula_check": (
-                    "pass" if term.matches else "documented-discrepancy"
-                ),
-                "y_cumulative_oracle": cumulative,
-            }
-            if cfg.trials > 0:
-                mc = report.monte_carlo[entry.round_index - 1]
-                row["y_mc"] = mc.estimate
-                row["y_mc_stderr"] = mc.stderr
-            rows.append(row)
-        total_row = {
-            "alpha_sq": x,
-            "round": "total",
-            "success_prob": None,
-            "y_formula": report.cumulative_formula,
-            "y_oracle": report.cumulative_oracle,
-            "formula_check": (
-                "pass"
-                if not report.discrepancies
-                else "documented-discrepancy"
-            ),
-            "y_cumulative_oracle": report.cumulative_oracle,
-        }
-        if cfg.trials > 0:
-            total_row["y_mc"] = sum(m.estimate for m in report.monte_carlo)
-            total_row["y_mc_stderr"] = None
-        rows.append(total_row)
-        summaries.append(
-            {
-                "alpha_sq": x,
-                "total_yield_formula": _jvalue(report.cumulative_formula),
-                "total_yield_oracle": _jvalue(report.cumulative_oracle),
-                "documented_discrepancies": len(report.discrepancies),
-            }
-        )
-    return header, rows, {"per_alpha": summaries}
+    return (header, *_yield_table(cfg, walk=True))
 
 
 def cmd_yield(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
@@ -327,51 +356,7 @@ def cmd_yield(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
         "formula_check",
         "y_cumulative_oracle",
     ]
-    rows = []
-    summaries = []
-    for x in cfg.alpha_sq:
-        pair = _pair(x, cfg.theta_ab)
-        report = compare_yield(pair.alpha, pair.beta, cfg.rounds)
-        cumulative = 0.0
-        for term in report.terms:
-            cumulative += term.oracle_value
-            rows.append(
-                {
-                    "alpha_sq": x,
-                    "round": term.round_index,
-                    "y_formula": term.value,
-                    "y_oracle": term.oracle_value,
-                    "discrepancy": term.discrepancy,
-                    "formula_check": (
-                        "pass" if term.matches else "documented-discrepancy"
-                    ),
-                    "y_cumulative_oracle": cumulative,
-                }
-            )
-        rows.append(
-            {
-                "alpha_sq": x,
-                "round": "total",
-                "y_formula": report.cumulative_formula,
-                "y_oracle": report.cumulative_oracle,
-                "discrepancy": None,
-                "formula_check": (
-                    "pass"
-                    if not report.discrepancies
-                    else "documented-discrepancy"
-                ),
-                "y_cumulative_oracle": report.cumulative_oracle,
-            }
-        )
-        summaries.append(
-            {
-                "alpha_sq": x,
-                "total_yield_formula": _jvalue(report.cumulative_formula),
-                "total_yield_oracle": _jvalue(report.cumulative_oracle),
-                "documented_discrepancies": len(report.discrepancies),
-            }
-        )
-    return header, rows, {"per_alpha": summaries}
+    return (header, *_yield_table(cfg, walk=False))
 
 
 # -- output -----------------------------------------------------------------------

@@ -167,9 +167,6 @@ class Herald:
     sign_correction: bool = False
     correction_mode: ModeId | None = None
 
-    def to_events(self) -> list[tuple[str, str, float]]:
-        return [(e.stage, e.outcome, e.probability) for e in self.events]
-
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -358,11 +355,6 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
         current = d1.pair.with_modes("a", "b")
         trace.append(d1.pair.with_modes(pair.mode_a, pair.mode_b))
     return trace
-
-
-def swap_chain(pair: SingleRailPair, n_swaps: int) -> SingleRailPair:
-    """Final pair after ``n_swaps`` successive D1-heralded swaps."""
-    return swap_chain_trace(pair, n_swaps)[-1]
 
 
 # -- concentration ---------------------------------------------------------------

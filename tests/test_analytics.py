@@ -9,8 +9,9 @@ from singlerail import (
     ConfigError,
     compare_yield,
     entanglement_ratio,
+    iterate_concentration,
     monte_carlo_yield,
-    swap_chain,
+    swap_chain_trace,
     yield_oracle,
     yield_series,
     yield_term,
@@ -119,6 +120,19 @@ class TestYieldOracle:
             )
 
 
+class TestOracleAtProbeAngle:
+    @pytest.mark.parametrize("qnd_theta", [math.pi, 1.0, math.pi / 2, 2 * math.pi / 3, 0.0])
+    def test_matches_ledger_walk(self, qnd_theta):
+        # the oracle applies the walk's herald rule, so both agree at any angle
+        pair = make_pair(0.3)
+        ledger = iterate_concentration(pair, 3, qnd_theta)
+        rounds = yield_oracle(pair.alpha, pair.beta, 3, qnd_theta)
+        for entry, oracle in zip(ledger.entries, rounds):
+            assert entry.yield_per_source_pair == pytest.approx(
+                float(oracle.yield_value), abs=1e-12
+            )
+
+
 class TestCompareYield:
     def test_first_two_rounds_match(self):
         a, b = coeffs(0.8)
@@ -185,28 +199,27 @@ class TestCompareYield:
 
 class TestMonteCarloYield:
     def test_deterministic(self):
-        a, b = coeffs(0.8)
-        r1 = monte_carlo_yield(a, b, 3, 10_000, seed=9)
-        r2 = monte_carlo_yield(a, b, 3, 10_000, seed=9)
+        ledger = iterate_concentration(make_pair(0.8), 3)
+        r1 = monte_carlo_yield(ledger, 10_000, seed=9)
+        r2 = monte_carlo_yield(ledger, 10_000, seed=9)
         assert [(m.successes, m.attempts) for m in r1] == [
             (m.successes, m.attempts) for m in r2
         ]
 
     def test_estimates_track_oracle(self):
-        a, b = coeffs(0.8)
-        rounds = monte_carlo_yield(a, b, 2, 100_000, seed=2)
-        oracle = yield_oracle(a, b, 2)
+        pair = make_pair(0.8)
+        rounds = monte_carlo_yield(iterate_concentration(pair, 2), 100_000, seed=2)
+        oracle = yield_oracle(pair.alpha, pair.beta, 2)
         for mc, exact in zip(rounds, oracle):
             if mc.stderr == 0.0:
                 continue
             assert abs(mc.estimate - float(exact.yield_value)) < 4 * mc.stderr
 
-    def test_attached_to_report(self):
-        a, b = coeffs(0.5)
-        report = compare_yield(a, b, 2, mc_trials=20_000, seed=1)
-        assert report.mc_trials == 20_000
-        assert len(report.monte_carlo) == 2
-        assert report.monte_carlo[0].attempts == 10_000
+    def test_attached_to_ledger(self):
+        ledger = iterate_concentration(make_pair(0.5), 2)
+        rounds = monte_carlo_yield(ledger, 20_000, seed=1)
+        assert [m.round_index for m in rounds] == [1, 2]
+        assert rounds[0].attempts == 10_000
 
 
 class TestEntanglementRatio:
@@ -215,5 +228,5 @@ class TestEntanglementRatio:
         assert entanglement_ratio(make_pair(0.8)) == pytest.approx(0.25)
 
     def test_after_one_swap(self):
-        out = swap_chain(make_pair(0.8), 1)
+        out = swap_chain_trace(make_pair(0.8), 1)[-1]
         assert entanglement_ratio(out) == pytest.approx(1 / 16, abs=1e-12)

@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import singlerail
 from singlerail.cli import fmt, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, **kwargs):
@@ -66,6 +70,13 @@ class TestConfigHandling:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(["frobnicate"], capsys)
         assert code == 1
+
+    def test_rounds_above_oracle_cap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=0.3, rounds=17)
+        code, out, err = run_cli(["yield", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "rounds" in err
 
     def test_qnd_theta_accepts_pi_literal(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=0.8, rounds=2, qnd_theta="pi")
@@ -137,6 +148,17 @@ class TestSwapChain:
         _, rows = parse_csv(out)
         assert float(rows[0]["entanglement_ratio"]) == pytest.approx(1 / 16, abs=1e-12)
 
+    def test_beta_underflow_is_not_a_crash(self, tmp_path, capsys):
+        # beta underflows to 0 after ~80 swaps at alpha_sq 0.7
+        cfg = write_config(tmp_path, alpha_sq=0.7, swap_depth=120)
+        code, out, _ = run_cli(["swap-chain", "--config", cfg], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 120
+        assert all(r["closed_form_check"] == "pass" for r in rows)
+        assert float(rows[-1]["entanglement_ratio"]) == 0.0
+        assert float(rows[-1]["alpha_sq_n"]) == 1.0
+
 
 class TestConcentrate:
     def test_success_probability_column(self, tmp_path, capsys):
@@ -178,6 +200,90 @@ class TestConcentrate:
         first = rows[0]
         est, err = float(first["y_mc"]), float(first["y_mc_stderr"])
         assert abs(est - 0.16) < 4 * err
+
+
+class TestProbeAngle:
+    # every yield column describes the probe the config names
+
+    def test_resolved_probe_recycles_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=0.3, rounds=3, qnd_theta=1.0, trials=1000)
+        code, out, _ = run_cli(["concentrate", "--config", cfg], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[-1]["y_oracle"]) == pytest.approx(0.21, abs=1e-12)
+        for row in rows[1:3]:
+            for key in ("success_prob", "y_formula", "y_oracle", "y_mc"):
+                assert float(row[key]) == 0.0, (row["round"], key)
+
+    def test_probe_without_one_photon_class_keeps_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=0.3, rounds=3, qnd_theta=0.0, trials=1000)
+        code, out, _ = run_cli(["concentrate", "--config", cfg], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            for key in ("success_prob", "y_formula", "y_oracle", "y_cumulative_oracle", "y_mc"):
+                if row[key] != "":
+                    assert float(row[key]) == 0.0, (row["round"], key)
+
+
+# pinned output bytes; a change to them must be deliberate and documented
+GOLDEN_CASES = [
+    (
+        "concentrate",
+        {"alpha_sq": [0.05, 0.3, 0.5, 0.8, 0.97], "rounds": 5, "trials": 20000, "seed": 7},
+        "concentrate_pi_trials.csv",
+    ),
+    (
+        "concentrate",
+        {
+            "alpha_sq": [0.15, 0.6, 0.9],
+            "theta_ab": 0.4,
+            "rounds": 4,
+            "trials": 50000,
+            "seed": 11,
+            "format": "json",
+        },
+        "concentrate_pi_trials.json",
+    ),
+    ("yield", {"alpha_sq": [0.2, 0.5, 0.7], "rounds": 8}, "yield_rounds8.csv"),
+    (
+        "swap-chain",
+        {"alpha_sq": 0.3, "swap_depth": 40, "format": "json"},
+        "swap_chain_depth40.json",
+    ),
+    (
+        "generate",
+        {"p_a": [0.01, 0.016], "p_b": [0.01, 0.004], "trials": 5000, "seed": 3},
+        "generate_trials.csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,config,golden", GOLDEN_CASES, ids=[c[2] for c in GOLDEN_CASES])
+def test_golden_output(tmp_path, capsys, command, config, golden):
+    cfg = write_config(tmp_path, **config)
+    code, out, _ = run_cli([command, "--config", cfg], capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_concentrate_walks_each_point_round_once(tmp_path, capsys, monkeypatch):
+    original = singlerail.protocols.concentration_round
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # patch every binding, so a second walk from any module is counted
+    for module in (singlerail.protocols, singlerail.analytics, singlerail.cli):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    cfg = write_config(tmp_path, alpha_sq=[0.2, 0.5, 0.8], rounds=4, trials=1000)
+    code, _, _ = run_cli(["concentrate", "--config", cfg], capsys)
+    assert code == 0
+    assert len(calls) == 3 * 4
 
 
 class TestOutputEncoding:

@@ -22,7 +22,6 @@ from singlerail import (
     single_photon,
     superpose,
     swap,
-    swap_chain,
     swap_chain_trace,
 )
 from conftest import make_pair
@@ -121,8 +120,7 @@ class TestSwap:
         res = swap(p.with_modes("a", "b"), p.with_modes("c", "d"))
         probs = {}
         for r in res:
-            stage, outcome, _ = r.herald.to_events()[0]
-            probs[outcome] = r.probability
+            probs[r.herald.events[0].outcome] = r.probability
         assert probs["D1"] == pytest.approx(0.34, abs=1e-12)
         assert probs["D2"] == pytest.approx(0.34, abs=1e-12)
         assert probs["no-click"] == pytest.approx(0.16, abs=1e-12)
@@ -152,25 +150,25 @@ class TestSwap:
 class TestSwapChain:
     def test_requires_positive_depth(self):
         with pytest.raises(ConfigError):
-            swap_chain(make_pair(0.8), 0)
+            swap_chain_trace(make_pair(0.8), 0)
 
     def test_balanced_fixed_point(self):
         for n in (1, 2, 4):
-            out = swap_chain(make_pair(0.5), n)
+            out = swap_chain_trace(make_pair(0.5), n)[-1]
             assert out.alpha_sq == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("n,expected_ratio_sq", [(1, 16.0), (2, 64.0), (3, 256.0)])
     def test_closed_form_ratio(self, n, expected_ratio_sq):
-        out = swap_chain(make_pair(0.8), n)
+        out = swap_chain_trace(make_pair(0.8), n)[-1]
         assert out.alpha_sq / out.beta_sq == pytest.approx(expected_ratio_sq, rel=1e-12)
 
     def test_trace_is_cumulative(self):
         trace = swap_chain_trace(make_pair(0.8), 3)
         assert len(trace) == 3
-        assert trace[-1].alpha_sq == pytest.approx(swap_chain(make_pair(0.8), 3).alpha_sq)
+        assert trace[1].alpha_sq == pytest.approx(swap_chain_trace(make_pair(0.8), 2)[-1].alpha_sq)
 
     def test_preserves_input_mode_names(self):
-        out = swap_chain(make_pair(0.8, mode_a="left", mode_b="right"), 2)
+        out = swap_chain_trace(make_pair(0.8, mode_a="left", mode_b="right"), 2)[-1]
         assert (out.mode_a, out.mode_b) == ("left", "right")
 
 
