@@ -5,16 +5,16 @@ Per round the protocol either distills one maximally entangled pair or
 This module evaluates the per-source-pair yield of each round via
 
 * ``yield_term``: the closed-form series, a fixed algebraic shortcut;
-* ``yield_oracle``: exhaustive herald-branch enumeration in exact rational
-  arithmetic, with a per-source-pair inventory (round n is fed by 2**n
-  source pairs per attempt);
+* ``yield_oracle``: the paper's coefficient recursion x' = x**2/(x**2 + y**2)
+  in exact rational arithmetic, with a per-source-pair inventory (round n
+  is fed by 2**n source pairs per attempt);
 * ``monte_carlo_yield``: seeded sampling of the herald tree whose branch
   probabilities an ``IterationLedger`` already walked.
 
-The closed-form series and the enumeration agree for rounds 1 and 2 but
-not beyond; ``compare_yield`` tabulates both side by side and flags every
+The closed-form series and the oracle agree for rounds 1 and 2 but not
+beyond; ``compare_yield`` tabulates both side by side and flags every
 difference above tolerance as a documented discrepancy instead of failing
-or hiding it.  The enumeration is the authority.
+or hiding it.  The oracle is the authority.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .protocols import (
 #: formula-vs-oracle differences above this are reported as discrepancies
 YIELD_MATCH_TOL = 1e-12
 
-#: herald-tree enumeration cap: round n is fed by 2**n source pairs
+#: oracle round cap: round n is fed by 2**n source pairs
 MAX_ORACLE_ROUNDS = 16
 
 
@@ -57,7 +57,7 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     The first three rounds are explicit special cases; deeper rounds use
     the product form with the bracket index running from 3 to n-1.  Only
     the moduli of ``alpha`` and ``beta`` enter.  The expression stays
-    fixed even where the exact enumeration disagrees (rounds >= 3);
+    fixed even where the exact oracle disagrees (rounds >= 3);
     ``compare_yield`` surfaces those differences instead of reconciling
     them.
     """
@@ -108,17 +108,6 @@ class OracleRound:
     yield_value: Fraction
 
 
-def _two_copy_branches(x: Fraction) -> dict[tuple[int, int], Fraction]:
-    """Weights of the four product branches of two identical pairs.
-
-    Keys are the photon counts on the monitored (b-side) modes of each
-    copy; with a-side weight x the photon sits on the b side with weight
-    1 - x independently per copy.
-    """
-    y = 1 - x
-    return {(0, 0): x * x, (0, 1): x * y, (1, 0): y * x, (1, 1): y * y}
-
-
 def _probe_actions(qnd_theta: float) -> set[str]:
     """Herald actions the probe at ``qnd_theta`` can report on two pairs.
 
@@ -133,17 +122,16 @@ def _probe_actions(qnd_theta: float) -> set[str]:
 def yield_oracle(
     alpha: complex, beta: complex, n_rounds: int, qnd_theta: float = math.pi
 ) -> list[OracleRound]:
-    """Exhaustive herald-tree enumeration of iterated concentration.
+    """Exact yield of each round of iterated concentration.
 
-    Walks the tree round by round in exact rational arithmetic: the four
-    product branches are grouped by monitored photon total (the pi-angle
-    readout merges totals 0 and 2), the merged branch is pushed through
-    the beam-splitter/detector reduction to obtain the next round's pair
-    weight, and a deterministic-fraction inventory tracks attempts per
-    source pair (round 1 starts at one attempt per two pairs, each later
-    attempt eats two recycled survivors).  A probe without a one-photon
-    class keeps nothing, and one without the merged {0, 2} class recycles
-    nothing, so later rounds see no attempts.
+    With pair weight x (y = 1 - x) two copies of the pair herald one
+    monitored photon with probability 2xy, which is kept, and zero or two
+    with probability x**2 + y**2, which the pi probe merges and recycles
+    into a pair of weight x**2 / (x**2 + y**2).  Every quantity is a
+    reduced ``Fraction``.  Round 1 starts at one attempt per two source
+    pairs, and each later attempt eats two recycled survivors.  A probe
+    without a one-photon class keeps nothing, and one without the merged
+    {0, 2} class recycles nothing, so later rounds see no attempts.
     """
     if n_rounds < 1:
         raise ConfigError(f"need at least one round, got {n_rounds}")
@@ -160,13 +148,13 @@ def yield_oracle(
     actions = _probe_actions(qnd_theta)
     zero = Fraction(0)
 
-    half = Fraction(1, 2)
-    attempts = half  # one attempt consumes two source pairs
+    attempts = Fraction(1, 2)  # one attempt consumes two source pairs
     rounds: list[OracleRound] = []
     for n in range(1, n_rounds + 1):
-        branches = _two_copy_branches(x)
-        p_keep = branches[(0, 1)] + branches[(1, 0)] if KEEP in actions else zero
-        p_even = branches[(0, 0)] + branches[(1, 1)] if RECYCLE in actions else zero
+        y = 1 - x
+        x_sq = x * x
+        p_keep = 2 * x * y if KEEP in actions else zero
+        p_even = x_sq + y * y if RECYCLE in actions else zero
         rounds.append(
             OracleRound(
                 round_index=n,
@@ -180,20 +168,14 @@ def yield_oracle(
         if p_even == 0:
             attempts = zero
             continue
-        # beam-splitter reduction of the merged branch: the second copy's
-        # photon reaches either detector with weight 1/2, and both detector
-        # sub-branches leave the surviving photon on the a side with the
-        # (0, 0) branch's weight
-        a_weight = branches[(0, 0)] * (half + half)
-        b_weight = branches[(1, 1)] * (half + half)
-        x = a_weight / (a_weight + b_weight)
-        attempts = attempts * p_even * half
+        x = x_sq / p_even
+        attempts = attempts * p_even / 2
     return rounds
 
 
 @dataclass(frozen=True)
 class YieldTerm:
-    """One round's closed-form value next to the exact enumeration."""
+    """One round's closed-form value next to the exact oracle."""
 
     round_index: int
     value: float
@@ -214,7 +196,7 @@ class MonteCarloRound:
 
 @dataclass(frozen=True)
 class YieldReport:
-    """Side-by-side yield table: closed form next to the enumeration."""
+    """Side-by-side yield table: closed form next to the oracle."""
 
     alpha: complex
     beta: complex
@@ -272,7 +254,7 @@ def monte_carlo_yield(
 def compare_yield(
     alpha: complex, beta: complex, n_rounds: int, qnd_theta: float = math.pi
 ) -> YieldReport:
-    """Tabulate closed form vs enumeration per round at probe ``qnd_theta``.
+    """Tabulate closed form vs oracle per round at probe ``qnd_theta``.
 
     Any |formula - oracle| above ``YIELD_MATCH_TOL`` is carried in the
     report as a documented discrepancy with both values; nothing is

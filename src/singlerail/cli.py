@@ -45,19 +45,8 @@ SIG_DIGITS = 15
 #: tolerance for the swap-chain closed-form cross-check (scaled by magnitude)
 CLOSED_FORM_TOL = 1e-12
 
-_CONFIG_KEYS = {
-    "alpha_sq",
-    "theta_ab",
-    "qnd_theta",
-    "rounds",
-    "swap_depth",
-    "trials",
-    "seed",
-    "p_a",
-    "p_b",
-    "output",
-    "format",
-}
+#: the commands that draw ``trials`` samples; the others accept only 0
+_SAMPLING_COMMANDS = ("generate", "concentrate")
 
 
 @dataclass
@@ -75,6 +64,9 @@ class RunConfig:
     p_b: list[float] | None = None
     output: str | None = None
     format: str = "csv"
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _as_float_list(value, key: str) -> list[float]:
@@ -151,6 +143,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1)
     if "trials" in merged:
         cfg.trials = _as_int(merged["trials"], "trials", 0)
+        if cfg.trials and args.command not in _SAMPLING_COMMANDS:
+            raise ConfigError(
+                f"trials must be 0 for {args.command}, which samples nothing, "
+                f"got {cfg.trials}"
+            )
     if "seed" in merged:
         cfg.seed = _as_int(merged["seed"], "seed", 0)
     if "p_a" in merged:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -97,12 +99,50 @@ class TestYieldOracle:
             total = sum(r.yield_value for r in yield_oracle(a, b, 10))
             assert total < Fraction(1, 2)
 
-    def test_coefficient_recursion(self):
-        rounds = yield_oracle(math.sqrt(0.8), math.sqrt(0.2), 3)
+    @pytest.mark.parametrize(
+        "alpha, beta, n_rounds, x0",
+        [
+            (math.sqrt(0.8), math.sqrt(0.2), 3, Fraction(4, 5)),
+            # underflow-scale and next-to-one weights, deep enough for
+            # the exact numbers to outgrow any float
+            (*coeffs(1e-300), 8, None),
+            (*coeffs(5e-324), 8, None),
+            (*coeffs(0.9999999999999999), 8, None),
+        ],
+        ids=["0.8", "1e-300", "5e-324", "0.9999999999999999"],
+    )
+    def test_coefficient_recursion(self, alpha, beta, n_rounds, x0):
+        rounds = yield_oracle(alpha, beta, n_rounds)
         xs = [r.alpha_sq for r in rounds]
-        assert xs[0] == Fraction(4, 5)
+        if x0 is not None:
+            assert xs[0] == x0
+        assert 0 < xs[0] < 1
         for prev, nxt in zip(xs, xs[1:]):
             assert nxt == prev**2 / (prev**2 + (1 - prev) ** 2)
+        assert rounds[0].attempts == Fraction(1, 2)
+        for prev, nxt in zip(rounds, rounds[1:]):
+            assert nxt.attempts == prev.attempts * prev.recycle_probability / 2
+        for r in rounds:
+            # the pi probe keeps or recycles every attempt
+            assert r.success_probability + r.recycle_probability == 1
+
+    def test_exact_digest(self):
+        # every field of every round, bit for bit: numerator and
+        # denominator in hex (their decimal forms can exceed Python's
+        # int-to-str digit limit)
+        digest = hashlib.sha256()
+        for alpha_sq in (0.01, 0.2, 0.3, 0.5, 0.77, 0.99):
+            pair = make_pair(alpha_sq)
+            for qnd_theta in (math.pi, 1.0, math.pi / 2, 0.0):
+                for r in yield_oracle(pair.alpha, pair.beta, 9, qnd_theta):
+                    for f in fields(r):
+                        v = getattr(r, f.name)
+                        digest.update(
+                            f"{f.name}={v.numerator:x}/{v.denominator:x};".encode()
+                        )
+        assert digest.hexdigest() == (
+            "914cbd38395456e5c63dee316b05ffaf8354c3f9806b585d653633e9c68b123a"
+        )
 
     def test_matches_ledger_simulation(self):
         # exact enumeration against the full state-vector iteration

@@ -78,6 +78,17 @@ class TestConfigHandling:
         assert out == ""
         assert "config error" in err and "rounds" in err
 
+    @pytest.mark.parametrize("command", ["yield", "swap-chain"])
+    def test_trials_on_command_that_samples_nothing(self, tmp_path, capsys, command):
+        code, out, err = run_cli([command, "--trials", "1000", "--seed", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "trials" in err
+        cfg = write_config(tmp_path, alpha_sq=0.3, trials=1)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 1
+        assert "trials" in err
+
     def test_qnd_theta_accepts_pi_literal(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=0.8, rounds=2, qnd_theta="pi")
         code, out, _ = run_cli(["concentrate", "--config", cfg], capsys)
