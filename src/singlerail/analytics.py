@@ -5,9 +5,12 @@ Per round the protocol either distills one maximally entangled pair or
 This module evaluates the per-source-pair yield of each round via
 
 * ``yield_term``: the closed-form series, a fixed algebraic shortcut;
-* ``yield_oracle``: the paper's coefficient recursion x' = x**2/(x**2 + y**2)
-  in exact rational arithmetic, with a per-source-pair inventory (round n
-  is fed by 2**n source pairs per attempt);
+* the paper's coefficient recursion x' = x**2/(x**2 + y**2), exactly,
+  with a per-source-pair inventory (round n is fed by 2**n source pairs
+  per attempt).  ``yield_oracle`` is the reference: every quantity is a
+  reduced ``Fraction``.  ``compare_yield`` evaluates the same recursion
+  on unreduced integers, with no gcd, and rounds each exact ratio to a
+  float once, so its floats equal the reference's bit for bit;
 * ``monte_carlo_yield``: seeded sampling of the herald tree whose branch
   probabilities an ``IterationLedger`` already walked.
 
@@ -119,6 +122,22 @@ def _probe_actions(qnd_theta: float) -> set[str]:
     return {herald_action(cls) for cls in probe.outcome_classes(2)}
 
 
+def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> Fraction:
+    """Domain checks and the exact starting pair weight x of both oracle paths."""
+    if n_rounds < 1:
+        raise ConfigError(f"need at least one round, got {n_rounds}")
+    if n_rounds > MAX_ORACLE_ROUNDS:
+        raise CapacityError(
+            f"oracle enumerates at most {MAX_ORACLE_ROUNDS} rounds "
+            f"(2**n source pairs feed round n), got {n_rounds}"
+        )
+    a_sq = Fraction(float(abs(alpha))) ** 2
+    b_sq = Fraction(float(abs(beta))) ** 2
+    if a_sq + b_sq == 0:
+        raise ConfigError("alpha and beta cannot both vanish")
+    return a_sq / (a_sq + b_sq)
+
+
 def yield_oracle(
     alpha: complex, beta: complex, n_rounds: int, qnd_theta: float = math.pi
 ) -> list[OracleRound]:
@@ -133,18 +152,7 @@ def yield_oracle(
     without a one-photon class keeps nothing, and one without the merged
     {0, 2} class recycles nothing, so later rounds see no attempts.
     """
-    if n_rounds < 1:
-        raise ConfigError(f"need at least one round, got {n_rounds}")
-    if n_rounds > MAX_ORACLE_ROUNDS:
-        raise CapacityError(
-            f"oracle enumerates at most {MAX_ORACLE_ROUNDS} rounds "
-            f"(2**n source pairs feed round n), got {n_rounds}"
-        )
-    a_sq = Fraction(float(abs(alpha))) ** 2
-    b_sq = Fraction(float(abs(beta))) ** 2
-    if a_sq + b_sq == 0:
-        raise ConfigError("alpha and beta cannot both vanish")
-    x = a_sq / (a_sq + b_sq)
+    x = _oracle_weight(alpha, beta, n_rounds)
     actions = _probe_actions(qnd_theta)
     zero = Fraction(0)
 
@@ -180,7 +188,6 @@ class YieldTerm:
     round_index: int
     value: float
     oracle_value: float
-    oracle_exact: Fraction
     discrepancy: float
     matches: bool
 
@@ -251,33 +258,73 @@ def monte_carlo_yield(
     return out
 
 
+def _integer_yields(
+    x: Fraction, n_rounds: int, actions: set[str]
+) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """``yield_oracle``'s yields and their total as unreduced integer ratios.
+
+    Write x_n = u_n/s_n with s_n = u_n + v_n; the recursion squares both
+    weights, u_{n+1} = u_n**2 and v_{n+1} = v_n**2.  Round n then yields
+    2*w_n/E_n with w_n = u_n*v_n, E_1 = 2*s_1**2 and E_{n+1} =
+    2*E_n*s_{n+1}, and the total of rounds 1..n is T_n/E_n with T_n =
+    2*s_n*T_{n-1} + 2*w_n.  Only s and w are carried: w_{n+1} = w_n**2
+    and s_{n+1} = s_n**2 - 2*w_n.  No gcd is taken; each ratio has the
+    same value as the reduced ``Fraction``, so ``num / den`` rounds to
+    the same float.  The probe's herald actions cut the tree as in
+    ``yield_oracle``.
+    """
+    if KEEP not in actions:
+        live = 0
+    elif RECYCLE not in actions:
+        live = 1
+    else:
+        live = n_rounds
+    u, s = x.numerator, x.denominator
+    w = u * (s - u)
+    den = 2 * s * s
+    total = 0
+    yields = []
+    for n in range(live):
+        if n:
+            s, w = s * s - 2 * w, w * w
+            den = 2 * den * s
+        total = 2 * s * total + 2 * w
+        yields.append((2 * w, den))
+    yields += [(0, 1)] * (n_rounds - live)
+    return yields, (total, den)
+
+
 def compare_yield(
     alpha: complex, beta: complex, n_rounds: int, qnd_theta: float = math.pi
 ) -> YieldReport:
     """Tabulate closed form vs oracle per round at probe ``qnd_theta``.
 
-    Any |formula - oracle| above ``YIELD_MATCH_TOL`` is carried in the
-    report as a documented discrepancy with both values; nothing is
-    clipped or suppressed.  The closed form describes the pi probe's
-    tree; a round in which the configured probe keeps nothing (no
-    one-photon class, or no recycled input to attempt) has an exactly
-    zero oracle yield, and its formula value is 0 as well.
+    The oracle column is ``yield_oracle``'s exact yield rounded once to a
+    float, evaluated on unreduced integers (``_integer_yields``).  Any
+    |formula - oracle| above ``YIELD_MATCH_TOL`` is carried in the report
+    as a documented discrepancy with both values; nothing is clipped or
+    suppressed.  The closed form describes the pi probe's tree; a round
+    in which the configured probe keeps nothing (no one-photon class, or
+    no recycled input to attempt) has an exactly zero oracle yield, and
+    its formula value is 0 as well.
     """
-    oracle = yield_oracle(alpha, beta, n_rounds, qnd_theta)
+    x = _oracle_weight(alpha, beta, n_rounds)
+    yields, (total_num, total_den) = _integer_yields(
+        x, n_rounds, _probe_actions(qnd_theta)
+    )
     formula = [
-        value if o_round.yield_value else 0.0
-        for value, o_round in zip(yield_series(alpha, beta, n_rounds), oracle)
+        value if num else 0.0
+        for value, (num, _) in zip(yield_series(alpha, beta, n_rounds), yields)
     ]
     terms = []
-    for f_val, o_round in zip(formula, oracle):
-        o_val = float(o_round.yield_value)
+    for n, (f_val, (num, den)) in enumerate(zip(formula, yields), start=1):
+        o_val = num / den
         gap = abs(f_val - o_val)
         terms.append(
             YieldTerm(
-                round_index=o_round.round_index,
+                round_index=n,
                 value=f_val,
                 oracle_value=o_val,
-                oracle_exact=o_round.yield_value,
                 discrepancy=gap,
                 matches=gap <= YIELD_MATCH_TOL,
             )
@@ -287,7 +334,7 @@ def compare_yield(
         beta=complex(beta),
         terms=tuple(terms),
         cumulative_formula=sum(formula),
-        cumulative_oracle=float(sum(r.yield_value for r in oracle)),
+        cumulative_oracle=total_num / total_den,
     )
 
 

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlerail import (
     CapacityError,
     ConfigError,
+    analytics,
     compare_yield,
     entanglement_ratio,
     iterate_concentration,
@@ -64,6 +67,23 @@ class TestYieldOracle:
             yield_oracle(INV_SQRT2, INV_SQRT2, 0)
         with pytest.raises(CapacityError):
             yield_oracle(INV_SQRT2, INV_SQRT2, 17)
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((INV_SQRT2, INV_SQRT2, 0), ConfigError),
+            ((INV_SQRT2, INV_SQRT2, 17), CapacityError),
+            ((0.0, 0.0, 3), ConfigError),
+        ],
+        ids=["no-rounds", "above-cap", "both-amplitudes-zero"],
+    )
+    def test_domain_shared_with_compare_yield(self, args, error):
+        messages = []
+        for fn in (yield_oracle, compare_yield):
+            with pytest.raises(error) as excinfo:
+                fn(*args)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_balanced_exact_fractions(self):
         rounds = yield_oracle(INV_SQRT2, INV_SQRT2, 4)
@@ -171,6 +191,63 @@ class TestOracleAtProbeAngle:
             assert entry.yield_per_source_pair == pytest.approx(
                 float(oracle.yield_value), abs=1e-12
             )
+
+
+PROBE_ANGLES = (math.pi, 1.0, math.pi / 2, 2 * math.pi / 3, 0.0)
+
+
+def assert_bit_equal(report, exact, total, alpha, beta):
+    """``compare_yield``'s floats against the exact yields and the float of
+    their exact total, with ``==``."""
+    assert len(report.terms) == len(exact)
+    for i, (term, value) in enumerate(zip(report.terms, exact), start=1):
+        assert term.oracle_value == float(value)
+        # the formula is zeroed exactly where the exact yield is 0
+        assert term.value == (0.0 if value == 0 else yield_term(alpha, beta, i))
+    assert report.cumulative_oracle == total
+
+
+class TestCompareYieldIsTheOracle:
+    """``compare_yield``'s integer evaluation against the ``Fraction`` reference."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from(PROBE_ANGLES),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_floats_bit_equal(self, alpha_sq, qnd_theta, n_rounds):
+        a, b = coeffs(alpha_sq)
+        exact = [r.yield_value for r in yield_oracle(a, b, n_rounds, qnd_theta)]
+        assert_bit_equal(compare_yield(a, b, n_rounds, qnd_theta), exact, float(sum(exact)), a, b)
+
+    @pytest.mark.parametrize("alpha_sq", [1e-300, 5e-324, 0.5, 0.9999999999999999])
+    @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
+    def test_edges_bit_equal(self, alpha_sq, qnd_theta):
+        a, b = coeffs(alpha_sq)
+        # round i of the oracle does not depend on how many rounds follow
+        # it, so one 10-round reference serves rounds 1-10; its running
+        # total is kept unreduced, which spares a gcd on every sum
+        exact = [r.yield_value for r in yield_oracle(a, b, 10, qnd_theta)]
+        num, den = 0, 1
+        for n_rounds, value in enumerate(exact, start=1):
+            num = num * value.denominator + value.numerator * den
+            den *= value.denominator
+            report = compare_yield(a, b, n_rounds, qnd_theta)
+            assert_bit_equal(report, exact[:n_rounds], num / den, a, b)
+
+    def test_zeroing_reads_the_exact_yield(self, monkeypatch):
+        # a stand-in series of ones shows which rounds get zeroed
+        monkeypatch.setattr(analytics, "yield_series", lambda a, b, n: [1.0] * n)
+        a, b = coeffs(0.01)
+        report = compare_yield(a, b, 9)
+        # round 9's exact yield is nonzero but its float underflows
+        assert yield_oracle(a, b, 9)[8].yield_value > 0
+        assert report.terms[8].oracle_value == 0.0
+        assert [t.value for t in report.terms] == [1.0] * 9
+        # a probe without the merged {0, 2} class recycles nothing
+        report = compare_yield(a, b, 9, 1.0)
+        assert [t.value for t in report.terms] == [1.0] + [0.0] * 8
 
 
 class TestCompareYield:

@@ -257,6 +257,7 @@ GOLDEN_CASES = [
         "concentrate_pi_trials.json",
     ),
     ("yield", {"alpha_sq": [0.2, 0.5, 0.7], "rounds": 8}, "yield_rounds8.csv"),
+    ("yield", {"alpha_sq": [0.3, 0.49, 0.93], "rounds": 12}, "yield_rounds12.csv"),
     (
         "swap-chain",
         {"alpha_sq": 0.3, "swap_depth": 40, "format": "json"},
