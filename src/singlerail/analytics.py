@@ -205,8 +205,6 @@ class MonteCarloRound:
 class YieldReport:
     """Side-by-side yield table: closed form next to the oracle."""
 
-    alpha: complex
-    beta: complex
     terms: tuple[YieldTerm, ...]
     cumulative_formula: float
     cumulative_oracle: float
@@ -330,8 +328,6 @@ def compare_yield(
             )
         )
     return YieldReport(
-        alpha=complex(alpha),
-        beta=complex(beta),
         terms=tuple(terms),
         cumulative_formula=sum(formula),
         cumulative_oracle=total_num / total_den,

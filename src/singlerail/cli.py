@@ -34,6 +34,7 @@ from .errors import ConfigError, SingleRailError
 from .protocols import (
     SingleRailPair,
     SourceParams,
+    count_draws,
     generate_entanglement,
     iterate_concentration,
     swap_chain_trace,
@@ -86,9 +87,13 @@ def _as_angle(value, key: str) -> float:
     if isinstance(value, str):
         if value.strip().lower() == "pi":
             return math.pi
-        raise ConfigError(f"{key} accepts a number or 'pi', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} accepts a number or 'pi', got {value!r}")
+        raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
     return float(value)
 
 
@@ -161,9 +166,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
         cfg.format = merged["format"]
 
+    printed: dict[str, float] = {}
     for x in cfg.alpha_sq:
-        if not 0.0 < x < 1.0:
-            raise ConfigError(f"alpha_sq values must lie in (0, 1), got {x}")
+        key = fmt(x)
+        # rows are keyed by the printed value, so that is what must be
+        # inside (0, 1) and name one grid value
+        if not 0.0 < float(key) < 1.0:
+            raise ConfigError(
+                f"alpha_sq values must print inside (0, 1), got {x!r} ({key})"
+            )
+        if printed.setdefault(key, x) != x:
+            raise ConfigError(
+                f"alpha_sq values {printed[key]!r} and {x!r} both print as {key}"
+            )
     return cfg
 
 
@@ -223,7 +238,7 @@ def cmd_generate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
             "phase": pair.theta,
         }
         if cfg.trials > 0:
-            hits = int(np.count_nonzero(rng.random(cfg.trials) < herald))
+            hits = int(count_draws(rng, cfg.trials, np.array([herald]))[0])
             freq = hits / cfg.trials
             row["herald_freq"] = freq
             row["herald_stderr"] = math.sqrt(freq * (1.0 - freq) / cfg.trials)
@@ -389,8 +404,11 @@ def write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 # -- entry point --------------------------------------------------------------------

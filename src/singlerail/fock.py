@@ -97,19 +97,14 @@ class FockState:
 
     ``terms`` maps occupation vectors (one entry per register mode) to
     complex amplitudes.  Construction validates shape, cutoff and
-    finiteness and prunes amplitudes below ``tolerance``; it does not
-    normalize, since intermediate vectors (e.g. after a creation
+    finiteness and prunes amplitudes below ``DEFAULT_PRUNE_TOL``; it does
+    not normalize, since intermediate vectors (e.g. after a creation
     operator) are legitimately unnormalized.
     """
 
-    __slots__ = ("register", "terms", "tolerance")
+    __slots__ = ("register", "terms")
 
-    def __init__(
-        self,
-        register: ModeRegister,
-        terms: Mapping[Occupation, complex],
-        tolerance: float = DEFAULT_PRUNE_TOL,
-    ):
+    def __init__(self, register: ModeRegister, terms: Mapping[Occupation, complex]):
         width = len(register)
         kept: dict[Occupation, complex] = {}
         for occ, amp in terms.items():
@@ -127,11 +122,10 @@ class FockState:
             amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
-            if abs(amp) >= tolerance:
+            if abs(amp) >= DEFAULT_PRUNE_TOL:
                 kept[occ] = amp
         self.register = register
         self.terms = kept
-        self.tolerance = tolerance
 
     # -- elementary queries ------------------------------------------------
 
@@ -143,9 +137,6 @@ class FockState:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -178,7 +169,7 @@ class FockState:
                 )
             lifted = occ[:i] + (occ[i] + 1,) + occ[i + 1:]
             out[lifted] = amp * math.sqrt(occ[i] + 1)
-        return FockState(self.register, out, self.tolerance)
+        return FockState(self.register, out)
 
     # -- normalization and composition --------------------------------------
 
@@ -187,28 +178,25 @@ class FockState:
         if n < NORM_TOL:
             raise DegenerateStateError("cannot normalize a (numerically) zero vector")
         return FockState(
-            self.register,
-            {occ: amp / n for occ, amp in self.terms.items()},
-            self.tolerance,
+            self.register, {occ: amp / n for occ, amp in self.terms.items()}
         )
 
-    def tensor(self, other: "FockState", cutoff: int | None = None) -> "FockState":
+    def tensor(self, other: "FockState") -> "FockState":
         """Product state on the concatenated register.
 
-        Mode names must be disjoint; the combined cutoff defaults to the
-        larger of the two operands' cutoffs.
+        Mode names must be disjoint; the combined cutoff is the larger of
+        the two operands' cutoffs.
         """
         overlap = set(self.register.names) & set(other.register.names)
         if overlap:
             raise RegisterError(f"tensor operands share mode names {sorted(overlap)!r}")
-        if cutoff is None:
-            cutoff = max(self.register.cutoff, other.register.cutoff)
+        cutoff = max(self.register.cutoff, other.register.cutoff)
         reg = ModeRegister(self.register.names + other.register.names, cutoff)
         out: dict[Occupation, complex] = {}
         for occ_l, amp_l in self.terms.items():
             for occ_r, amp_r in other.terms.items():
                 out[occ_l + occ_r] = amp_l * amp_r
-        return FockState(reg, out, min(self.tolerance, other.tolerance))
+        return FockState(reg, out)
 
     # -- measurement-style operations ---------------------------------------
 
@@ -227,9 +215,7 @@ class FockState:
             return 0.0, None
         scale = 1.0 / math.sqrt(prob)
         post = FockState(
-            self.register,
-            {occ: amp * scale for occ, amp in selected.items()},
-            self.tolerance,
+            self.register, {occ: amp * scale for occ, amp in selected.items()}
         )
         return prob, post
 
@@ -255,7 +241,7 @@ class FockState:
         out = {
             tuple(occ[p] for p in perm): amp for occ, amp in self.terms.items()
         }
-        return FockState(register, out, self.tolerance)
+        return FockState(register, out)
 
     def overlap(self, other: "FockState") -> complex:
         """Inner product <other|self>; registers must hold the same modes."""
@@ -284,7 +270,7 @@ class FockState:
         if len(set(new_names)) != len(new_names):
             raise RegisterError(f"relabeling {mapping!r} is not a bijection")
         reg = ModeRegister(new_names, self.register.cutoff)
-        return FockState(reg, dict(self.terms), self.tolerance)
+        return FockState(reg, dict(self.terms))
 
     def without_modes(self, modes: Iterable[ModeId]) -> "FockState":
         """Drop modes that sit in one definite Fock level across all terms.
@@ -310,7 +296,7 @@ class FockState:
         out = {
             tuple(occ[i] for i in keep): amp for occ, amp in self.terms.items()
         }
-        return FockState(reg, out, self.tolerance)
+        return FockState(reg, out)
 
 
 # -- constructors ------------------------------------------------------------
@@ -342,12 +328,11 @@ def superpose(addends: Iterable[tuple[complex, FockState]]) -> FockState:
         raise ConfigError("superpose needs at least one addend")
     base = addends[0][1].register
     combined: dict[Occupation, complex] = {}
-    tol = min(state.tolerance for _, state in addends)
     for coeff, state in addends:
         aligned = state.align_to(base)
         for occ, amp in aligned.terms.items():
             combined[occ] = combined.get(occ, 0j) + complex(coeff) * amp
-    raw = FockState(base, combined, tol)
+    raw = FockState(base, combined)
     if raw.norm() < NORM_TOL:
         raise DegenerateStateError("superposition cancelled to (numerical) zero")
     return raw.normalize()

@@ -103,7 +103,7 @@ def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
             lifted[i1] = m1
             key = tuple(lifted)
             out_terms[key] = out_terms.get(key, 0j) + a
-    return FockState(new_reg, out_terms, state.tolerance)
+    return FockState(new_reg, out_terms)
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,14 @@ class QndConfig:
 
     The probe beam picks up a phase ``n * theta`` from ``n`` photons in the
     monitored modes; the homodyne readout resolves only the cosine of that
-    phase, so counts whose cosines agree within ``distinguish_tol`` fall in
-    one outcome class.  ``theta = pi`` therefore yields the parity classes
-    {0, 2} and {1}; a generic angle resolves every count separately.
+    phase, so counts whose cosines agree within ``QND_DISTINGUISH_TOL``
+    fall in one outcome class.  ``theta = pi`` therefore yields the
+    parity classes {0, 2} and {1}; a generic angle resolves every count
+    separately.
     """
 
     monitored: tuple[ModeId, ...]
     theta: float
-    distinguish_tol: float = QND_DISTINGUISH_TOL
 
     def __post_init__(self):
         if not self.monitored:
@@ -133,7 +133,7 @@ class QndConfig:
         for n in range(cutoff + 1):
             c = math.cos(n * self.theta)
             for value, members in groups:
-                if abs(value - c) <= self.distinguish_tol:
+                if abs(value - c) <= QND_DISTINGUISH_TOL:
                     members.add(n)
                     break
             else:
@@ -156,12 +156,9 @@ def qnd_measure(state: FockState, config: QndConfig) -> list[QndOutcome]:
     Nondemolition: the post-states keep their photons.  One outcome per
     class with nonzero probability; probabilities sum to one.
     """
-    idxs = state.register.indices(config.monitored)
     outcomes = []
     for cls in config.outcome_classes(state.register.cutoff):
-        prob, post = state.project(
-            lambda occ, cls=cls: sum(occ[i] for i in idxs) in cls
-        )
+        prob, post = state.project_count(config.monitored, cls)
         if post is None:
             continue
         outcomes.append(QndOutcome(cls, prob, post))
@@ -239,4 +236,4 @@ def phase_flip(state: FockState, mode: ModeId) -> FockState:
     flipped = {
         occ: (-amp if occ[i] % 2 else amp) for occ, amp in state.terms.items()
     }
-    return FockState(state.register, flipped, state.tolerance)
+    return FockState(state.register, flipped)

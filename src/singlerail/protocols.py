@@ -32,7 +32,7 @@ from .errors import (
     ParameterWarning,
     RegisterError,
 )
-from .fock import DEFAULT_CUTOFF, FockState, ModeId, ModeRegister
+from .fock import FockState, ModeId, ModeRegister
 from .optics import (
     BeamSplitter,
     apply_beam_splitter,
@@ -44,6 +44,8 @@ from .optics import (
 
 #: tolerance for "these two pairs are copies of each other"
 PAIR_MATCH_TOL = 1e-12
+#: uniforms drawn at a time by ``count_draws``; bounds its memory
+DRAW_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,14 @@ class SingleRailPair:
     def with_modes(self, mode_a: ModeId, mode_b: ModeId) -> "SingleRailPair":
         return replace(self, mode_a=mode_a, mode_b=mode_b)
 
-    def to_state(self, cutoff: int = DEFAULT_CUTOFF) -> FockState:
-        reg = ModeRegister((self.mode_a, self.mode_b), cutoff)
+    def to_state(self) -> FockState:
+        reg = ModeRegister((self.mode_a, self.mode_b))
         return FockState(reg, {(1, 0): complex(self.alpha), (0, 1): self.beta})
 
-    def close_to(self, other: "SingleRailPair", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "SingleRailPair") -> bool:
         return (
-            abs(self.alpha - other.alpha) <= tol
-            and abs(self.beta - other.beta) <= tol
+            abs(self.alpha - other.alpha) <= 1e-9
+            and abs(self.beta - other.beta) <= 1e-9
         )
 
 
@@ -175,8 +177,8 @@ class ProtocolResult:
     ``probability`` is absolute (the product of the branch's event
     probabilities), so each step's result list sums to one.  ``state`` is
     the raw post-measurement state; when the herald calls for a sign
-    correction it is recorded, not applied, unless ``correction_applied``
-    says otherwise.  ``pair`` restates the corrected state as a
+    correction it is recorded, not applied, and ``corrected_state()``
+    applies it.  ``pair`` restates the corrected state as a
     ``SingleRailPair`` when it has that shape.
     """
 
@@ -185,13 +187,12 @@ class ProtocolResult:
     probability: float
     state: FockState | None
     pair: SingleRailPair | None = None
-    correction_applied: bool = False
 
     def corrected_state(self) -> FockState | None:
         """Post-state with the recorded local phase flip applied."""
         if self.state is None:
             return None
-        if not self.herald.sign_correction or self.correction_applied:
+        if not self.herald.sign_correction:
             return self.state
         return phase_flip(self.state, self.herald.correction_mode)
 
@@ -221,9 +222,7 @@ def herald_action(outcome_class: frozenset[int]) -> str:
 # -- heralded generation -------------------------------------------------------
 
 
-def generate_entanglement(
-    params: SourceParams, mode_a: ModeId = "a", mode_b: ModeId = "b"
-) -> tuple[float, SingleRailPair]:
+def generate_entanglement(params: SourceParams) -> tuple[float, SingleRailPair]:
     """Heralded single-rail pair from two emissive sources and one click.
 
     To first order in the emission probabilities, one detection at the
@@ -240,8 +239,7 @@ def generate_entanglement(
     herald_probability = total / 2.0
     alpha = math.sqrt(params.p_a / total)
     beta = math.sqrt(params.p_b / total) * cmath.exp(1j * params.theta_ab)
-    pair = SingleRailPair(alpha, beta, mode_a, mode_b)
-    return herald_probability, pair
+    return herald_probability, SingleRailPair(alpha, beta)
 
 
 # -- entanglement swapping ------------------------------------------------------
@@ -272,11 +270,7 @@ def _pair_from_state(
     )
 
 
-def swap(
-    pair_ab: SingleRailPair,
-    pair_cd: SingleRailPair,
-    detector_names: tuple[str, str] = ("D1", "D2"),
-) -> list[ProtocolResult]:
+def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResult]:
     """Connect two pairs by interfering their inner modes at one station.
 
     The inner modes (b of the first pair, c of the second) meet a balanced
@@ -292,7 +286,7 @@ def swap(
     if len(set(modes)) != 4:
         raise RegisterError(f"swap needs four distinct modes, got {modes!r}")
     joint = pair_ab.to_state().tensor(pair_cd.to_state())
-    det = _fresh_names(detector_names, modes)
+    det = _fresh_names(("D1", "D2"), modes)
     station = BeamSplitter(
         in_modes=(pair_ab.mode_b, pair_cd.mode_a),
         out_modes=det,
@@ -384,7 +378,6 @@ def concentration_round(
     qnd_theta: float = math.pi,
     *,
     allow_unequal_phases: bool = False,
-    apply_corrections: bool = False,
 ) -> list[ProtocolResult]:
     """One concentration attempt on two identical pairs.
 
@@ -392,11 +385,13 @@ def concentration_round(
     two b-side modes.  Exactly one monitored photon heralds the balanced
     subspace: a beam splitter across the second pair's modes plus a click
     on D1 or D2 then leaves the first pair's modes maximally entangled for
-    any input imbalance and any relative phase (D2 needs a recorded local
-    sign flip).  With ``qnd_theta = pi`` the readout cannot separate zero
-    monitored photons from two, and that branch is returned as
-    ``Tag.RECYCLABLE`` carrying the correlated two-photon state; at a
-    generic angle the same counts are resolved and discarded.
+    any input imbalance and any relative phase (D2 needs a local sign
+    flip, recorded in the herald and applied by
+    ``ProtocolResult.corrected_state()``).  With ``qnd_theta = pi`` the
+    readout cannot separate zero monitored photons from two, and that
+    branch is returned as ``Tag.RECYCLABLE`` carrying the correlated
+    two-photon state; at a generic angle the same counts are resolved
+    and discarded.
 
     Returns every branch; probabilities sum to one.
     """
@@ -430,7 +425,6 @@ def concentration_round(
                         "the kept class"
                     )
                 label = "D1" if click.fired == out_c else "D2"
-                needs_flip = label == "D2"
                 herald = Herald(
                     events=(
                         qnd_event,
@@ -438,37 +432,24 @@ def concentration_round(
                     ),
                     qnd_class=reading.outcome_class,
                     detector=label,
-                    sign_correction=needs_flip,
+                    sign_correction=label == "D2",
                     correction_mode=pair1.mode_b,
                 )
-                raw = click.post_state
-                corrected = (
-                    phase_flip(raw, pair1.mode_b) if needs_flip else raw
+                result = ProtocolResult(
+                    Tag.SUCCESS,
+                    herald,
+                    reading.probability * click.probability,
+                    click.post_state,
                 )
-                pair = _pair_from_state(corrected, pair1.mode_a, pair1.mode_b)
-                results.append(
-                    ProtocolResult(
-                        Tag.SUCCESS,
-                        herald,
-                        reading.probability * click.probability,
-                        corrected if apply_corrections else raw,
-                        pair,
-                        correction_applied=apply_corrections and needs_flip,
-                    )
+                pair = _pair_from_state(
+                    result.corrected_state(), pair1.mode_a, pair1.mode_b
                 )
-        elif action == RECYCLE:
-            herald = Herald(events=(qnd_event,), qnd_class=reading.outcome_class)
-            results.append(
-                ProtocolResult(
-                    Tag.RECYCLABLE, herald, reading.probability, reading.post_state
-                )
-            )
+                results.append(replace(result, pair=pair))
         else:
+            tag = Tag.RECYCLABLE if action == RECYCLE else Tag.FAILURE
             herald = Herald(events=(qnd_event,), qnd_class=reading.outcome_class)
             results.append(
-                ProtocolResult(
-                    Tag.FAILURE, herald, reading.probability, reading.post_state
-                )
+                ProtocolResult(tag, herald, reading.probability, reading.post_state)
             )
     return results
 
@@ -514,7 +495,7 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
         reduced[label] = _pair_from_state(post, a1, b1)
     if set(reduced) != {"D1", "D2"}:
         raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
-    if not reduced["D1"].close_to(reduced["D2"], tol=1e-9):
+    if not reduced["D1"].close_to(reduced["D2"]):
         raise ContractError("detector branches disagree after sign correction")
     return reduced["D2"]
 
@@ -630,6 +611,24 @@ def _branch_label(result: ProtocolResult) -> str:
     return f"{result.tag.value}:{detail}" if detail else result.tag.value
 
 
+def count_draws(
+    rng: np.random.Generator, trials: int, edges: np.ndarray
+) -> np.ndarray:
+    """Bin counts of ``trials`` uniform draws cut at the ascending ``edges``.
+
+    Bin i holds the draws u with ``edges[i-1] <= u < edges[i]``; the last
+    of the ``len(edges) + 1`` bins holds the draws at or past the last
+    edge.  Draws come ``DRAW_CHUNK`` at a time, which bounds memory and
+    leaves the stream unchanged: ``rng.random`` yields the same values
+    whether drawn at once or in chunks.
+    """
+    below = np.zeros(len(edges), dtype=np.int64)  # draws under each edge
+    for start in range(0, trials, DRAW_CHUNK):
+        draws = rng.random(min(DRAW_CHUNK, trials - start))
+        below += [np.count_nonzero(draws < edge) for edge in edges]
+    return np.diff(below, prepend=0, append=trials)
+
+
 def run_monte_carlo(
     pair: SingleRailPair,
     trials: int,
@@ -652,9 +651,9 @@ def run_monte_carlo(
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"branch probabilities sum to {total!r}, not 1")
     edges = np.cumsum(probs / total)
-    rng = np.random.default_rng(seed)
-    draws = np.searchsorted(edges, rng.random(trials), side="right")
-    counts = np.bincount(draws, minlength=len(branches))
+    counts = count_draws(np.random.default_rng(seed), trials, edges)
+    if not counts[-1]:
+        counts = counts[:-1]  # no draw past the last edge (round-off)
 
     frequencies: dict[str, float] = {}
     expected: dict[str, float] = {}

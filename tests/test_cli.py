@@ -5,7 +5,9 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import singlerail
@@ -89,6 +91,36 @@ class TestConfigHandling:
         assert code == 1
         assert "trials" in err
 
+    @pytest.mark.parametrize("key", ["theta_ab", "qnd_theta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, alpha_sq=0.3, **{key: value})
+        code, out, err = run_cli(["concentrate", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and key in err
+
+    def test_alpha_sq_key_must_print_inside_unit_interval(self, tmp_path, capsys):
+        # 0.9999999999999999 < 1, but its 15-digit key prints as 1
+        cfg = write_config(tmp_path, alpha_sq=[0.5, 0.9999999999999999])
+        code, out, err = run_cli(["yield", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "alpha_sq" in err
+
+    def test_alpha_sq_keys_must_name_one_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.30000000000000004])
+        code, out, err = run_cli(["yield", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "0.30000000000000004" in err
+        # an exact repeat prints the same rows twice and stays accepted
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.3], rounds=2)
+        code, out, _ = run_cli(["yield", "--config", cfg], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[:3] == rows[3:]
+
     def test_qnd_theta_accepts_pi_literal(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=0.8, rounds=2, qnd_theta="pi")
         code, out, _ = run_cli(["concentrate", "--config", cfg], capsys)
@@ -131,6 +163,27 @@ class TestGenerate:
         assert header[-2:] == ["herald_freq", "herald_stderr"]
         freq = float(rows[0]["herald_freq"])
         assert abs(freq - 0.01) < 5 * math.sqrt(0.01 * 0.99 / 5000)
+
+    def test_trials_draw_in_bounded_memory(self, tmp_path, capsys):
+        trials = 2**23
+        p_a = [0.01, 0.3]
+        # one-shot reference, drawn before tracing starts
+        rng = np.random.default_rng(7)
+        freqs = [
+            fmt(np.count_nonzero(rng.random(trials) < (pa + 0.01) / 2) / trials)
+            for pa in p_a
+        ]
+        cfg = write_config(tmp_path, p_a=p_a, p_b=0.01, trials=trials, seed=7)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["generate", "--config", cfg], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 32 * 2**20
+        _, rows = parse_csv(out)
+        assert [r["herald_freq"] for r in rows] == freqs
 
     def test_grid_length_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, p_a=[0.01, 0.02, 0.03], p_b=[0.01, 0.02])
@@ -331,6 +384,14 @@ class TestOutputEncoding:
         text = out_path.read_text(encoding="utf-8")
         assert text.startswith("alpha_sq,round,")
         assert text.endswith("\n")
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(["yield", "--output", str(out_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error: cannot write output" in err
+        assert not out_path.exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=[0.5, 0.8], rounds=3, trials=10_000, seed=12)

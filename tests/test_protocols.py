@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlerail import (
     ConfigError,
@@ -277,18 +279,30 @@ class TestConcentrationRound:
         assert amp_a == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert amp_b == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
 
-    def test_apply_corrections_flag(self):
+    def test_d2_corrected_state_is_plus_bell(self):
         p = make_pair(0.7)
         res = {
             r.herald.detector: r
-            for r in concentration_round(
-                p.with_modes("a1", "b1"), p.with_modes("a2", "b2"), apply_corrections=True
-            )
+            for r in concentration_round(p.with_modes("a1", "b1"), p.with_modes("a2", "b2"))
             if r.tag is Tag.SUCCESS
         }
-        assert res["D2"].correction_applied is True
         target = plus_bell("a1", "b1")
-        assert res["D2"].state.fidelity(target) == pytest.approx(1.0, abs=1e-12)
+        assert res["D2"].corrected_state().fidelity(target) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(min_value=1e-6, max_value=1 - 1e-6),
+        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+    )
+    def test_corrected_state_is_the_one_correction(self, alpha_sq, theta_ab):
+        p = make_pair(alpha_sq, theta=theta_ab)
+        target = plus_bell("a1", "b1")
+        for r in concentration_round(p.with_modes("a1", "b1"), p.with_modes("a2", "b2")):
+            if r.tag is Tag.SUCCESS:
+                fid = r.corrected_state().fidelity(target)
+                assert fid == pytest.approx(1.0, abs=1e-12)
+            if not r.herald.sign_correction:
+                assert r.corrected_state() is r.state
 
 
 class TestRecyclableToPair:
