@@ -9,8 +9,9 @@ This module evaluates the per-source-pair yield of each round via
   with a per-source-pair inventory (round n is fed by 2**n source pairs
   per attempt).  ``yield_oracle`` is the reference: every quantity is a
   reduced ``Fraction``.  ``compare_yield`` evaluates the same recursion
-  on unreduced integers, with no gcd, and rounds each exact ratio to a
-  float once, so its floats equal the reference's bit for bit;
+  with certified rounding: lower and upper bounds of bounded precision,
+  rerun at twice the precision until both bounds of every value round
+  to the same float, so its floats equal the reference's bit for bit;
 * ``monte_carlo_yield``: seeded sampling of the herald tree whose branch
   probabilities an ``IterationLedger`` already walked.
 
@@ -43,6 +44,9 @@ YIELD_MATCH_TOL = 1e-12
 
 #: oracle round cap: round n is fed by 2**n source pairs
 MAX_ORACLE_ROUNDS = 16
+
+#: bits kept per value in the first pass of ``_oracle_floats``
+_START_BITS = 160
 
 
 def _balance_ratio(x: float, y: float, power: int) -> float:
@@ -256,40 +260,126 @@ def monte_carlo_yield(
     return out
 
 
-def _integer_yields(
-    x: Fraction, n_rounds: int, actions: set[str]
-) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """``yield_oracle``'s yields and their total as unreduced integer ratios.
+def _trunc(m: int, e: int, bits: int, up: bool) -> tuple[int, int]:
+    """m * 2**e cut to ``bits`` significant bits, rounded up or down."""
+    drop = m.bit_length() - bits
+    if drop <= 0:
+        return m, e
+    return (-(-m >> drop) if up else m >> drop), e + drop
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], bits: int, up: bool):
+    """a * b, rounded up or down."""
+    return _trunc(a[0] * b[0], a[1] + b[1], bits, up)
+
+
+def _add(a: tuple[int, int], b: tuple[int, int], bits: int, up: bool):
+    """Sum of two nonnegative values, rounded up or down.
+
+    A term wholly below the kept bits of the other is dropped when
+    rounding down and stood in for by a power of two above it when
+    rounding up, so no shift grows with the gap between the terms.
+    """
+    if not a[0]:
+        return b
+    if not b[0]:
+        return a
+    if a[0].bit_length() + a[1] < b[0].bit_length() + b[1]:
+        a, b = b, a
+    (ma, ea), (mb, eb) = a, b
+    floor = ma.bit_length() + ea - bits - 2
+    if mb.bit_length() + eb < floor:
+        if not up:
+            return a
+        mb, eb = 1, floor
+    e = min(ea, eb)
+    return _trunc((ma << (ea - e)) + (mb << (eb - e)), e, bits, up)
+
+
+def _bound_terms(
+    u: int, v: int, live: int, bits: int, up: bool
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Lower (or upper) bounds on the yield ratios of rounds 1..``live``.
 
     Write x_n = u_n/s_n with s_n = u_n + v_n; the recursion squares both
     weights, u_{n+1} = u_n**2 and v_{n+1} = v_n**2.  Round n then yields
     2*w_n/E_n with w_n = u_n*v_n, E_1 = 2*s_1**2 and E_{n+1} =
     2*E_n*s_{n+1}, and the total of rounds 1..n is T_n/E_n with T_n =
-    2*s_n*T_{n-1} + 2*w_n.  Only s and w are carried: w_{n+1} = w_n**2
-    and s_{n+1} = s_n**2 - 2*w_n.  No gcd is taken; each ratio has the
-    same value as the reduced ``Fraction``, so ``num / den`` rounds to
-    the same float.  The probe's herald actions cut the tree as in
-    ``yield_oracle``.
+    2*s_n*T_{n-1} + 2*w_n.  Every value is a (mantissa, exponent) pair
+    cut to ``bits`` bits in the one direction ``up``; only sums and
+    products of nonnegative values occur, so each result bounds its
+    exact value from the same side.  Returns (numerator, denominator)
+    per round, then the total's.
     """
-    if KEEP not in actions:
+    den = _trunc(u + v, 0, bits, up)  # E_0 = s_1, so that E_1 = 2*s_1**2
+    u, v = _trunc(u, 0, bits, up), _trunc(v, 0, bits, up)
+    total = (0, 0)
+    ratios = []
+    for n in range(live):
+        if n:
+            u, v = _mul(u, u, bits, up), _mul(v, v, bits, up)
+        (ms, es), (mw, ew) = _add(u, v, bits, up), _mul(u, v, bits, up)
+        s2, w2 = (ms, es + 1), (mw, ew + 1)  # 2*s_n and 2*w_n
+        den = _mul(s2, den, bits, up)
+        total = _add(_mul(s2, total, bits, up), w2, bits, up)
+        ratios.append((w2, den))
+    ratios.append((total, den))
+    return ratios
+
+
+def _ratio(num: tuple[int, int], den: tuple[int, int]) -> float:
+    """num/den correctly rounded to a float by ``int / int``."""
+    (mn, en), (md, ed) = num, den
+    shift = en - ed
+    # num/den < 2**(num bits - den bits + 1 + shift); below 2**-1075 it
+    # rounds to 0.0, so skip the shift, which can run to millions of bits
+    # at underflow scale
+    if not mn or mn.bit_length() - md.bit_length() + 1 + shift <= -1075:
+        return 0.0
+    if shift >= 0:
+        return (mn << shift) / md
+    return mn / (md << -shift)
+
+
+def _oracle_floats(
+    x: Fraction, n_rounds: int, actions: set[str]
+) -> tuple[list[float], float, int]:
+    """``yield_oracle``'s yields and their total, each correctly rounded.
+
+    Ziv's strategy over the interval recursion of ``_bound_terms``: a
+    round's float is emitted once its lower bound num_lo/den_hi and its
+    upper bound num_hi/den_lo round to the same double; if any round or
+    the total straddles two doubles, the precision doubles and the pass
+    reruns.  Once the precision reaches the exact bit lengths nothing is
+    cut, both bounds are the exact ratio, and the loop ends.  Also
+    returns how many leading rounds have an exactly nonzero yield: the
+    probe's herald actions cut the tree as in ``yield_oracle``, and u*v
+    = 0 keeps nothing.
+    """
+    u, s = x.numerator, x.denominator
+    v = s - u
+    if KEEP not in actions or not u * v:
         live = 0
     elif RECYCLE not in actions:
         live = 1
     else:
         live = n_rounds
-    u, s = x.numerator, x.denominator
-    w = u * (s - u)
-    den = 2 * s * s
-    total = 0
-    yields = []
-    for n in range(live):
-        if n:
-            s, w = s * s - 2 * w, w * w
-            den = 2 * den * s
-        total = 2 * s * total + 2 * w
-        yields.append((2 * w, den))
-    yields += [(0, 1)] * (n_rounds - live)
-    return yields, (total, den)
+    zeros = [0.0] * (n_rounds - live)
+    if not live:
+        return zeros, 0.0, 0
+    bits = _START_BITS
+    while True:
+        lower = _bound_terms(u, v, live, bits, up=False)
+        upper = _bound_terms(u, v, live, bits, up=True)
+        floats = []
+        for (num_lo, den_lo), (num_hi, den_hi) in zip(lower, upper):
+            value = _ratio(num_lo, den_hi)
+            if value != _ratio(num_hi, den_lo):
+                break
+            floats.append(value)
+        else:
+            return floats[:-1] + zeros, floats[-1], live
+        bits *= 2
 
 
 def compare_yield(
@@ -297,26 +387,21 @@ def compare_yield(
 ) -> YieldReport:
     """Tabulate closed form vs oracle per round at probe ``qnd_theta``.
 
-    The oracle column is ``yield_oracle``'s exact yield rounded once to a
-    float, evaluated on unreduced integers (``_integer_yields``).  Any
-    |formula - oracle| above ``YIELD_MATCH_TOL`` is carried in the report
-    as a documented discrepancy with both values; nothing is clipped or
-    suppressed.  The closed form describes the pi probe's tree; a round
-    in which the configured probe keeps nothing (no one-photon class, or
-    no recycled input to attempt) has an exactly zero oracle yield, and
-    its formula value is 0 as well.
+    The oracle column is ``yield_oracle``'s exact yield correctly rounded
+    to a float (``_oracle_floats``).  Any |formula - oracle| above
+    ``YIELD_MATCH_TOL`` is carried in the report as a documented
+    discrepancy with both values; nothing is clipped or suppressed.  The
+    closed form describes the pi probe's tree; a round in which the
+    configured probe keeps nothing (no one-photon class, or no recycled
+    input to attempt) has an exactly zero oracle yield, and its formula
+    value is 0 as well.
     """
     x = _oracle_weight(alpha, beta, n_rounds)
-    yields, (total_num, total_den) = _integer_yields(
-        x, n_rounds, _probe_actions(qnd_theta)
-    )
-    formula = [
-        value if num else 0.0
-        for value, (num, _) in zip(yield_series(alpha, beta, n_rounds), yields)
-    ]
+    oracle, total, live = _oracle_floats(x, n_rounds, _probe_actions(qnd_theta))
+    formula = yield_series(alpha, beta, n_rounds)
+    formula = [value if n < live else 0.0 for n, value in enumerate(formula)]
     terms = []
-    for n, (f_val, (num, den)) in enumerate(zip(formula, yields), start=1):
-        o_val = num / den
+    for n, (f_val, o_val) in enumerate(zip(formula, oracle), start=1):
         gap = abs(f_val - o_val)
         terms.append(
             YieldTerm(
@@ -330,7 +415,7 @@ def compare_yield(
     return YieldReport(
         terms=tuple(terms),
         cumulative_formula=sum(formula),
-        cumulative_oracle=total_num / total_den,
+        cumulative_oracle=total,
     )
 
 

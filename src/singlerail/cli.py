@@ -49,6 +49,10 @@ CLOSED_FORM_TOL = 1e-12
 #: the commands that draw ``trials`` samples; the others accept only 0
 _SAMPLING_COMMANDS = ("generate", "concentrate")
 
+#: trials cap: 2**30 draws take seconds per row, and larger counts
+#: overflow numpy's samplers or run for hours
+MAX_TRIALS = 2**30
+
 
 @dataclass
 class RunConfig:
@@ -70,31 +74,36 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
+def _as_float(value, key: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{key} must fit in a float, got an integer of {len(str(value))} digits"
+        ) from None
+
+
 def _as_float_list(value, key: str) -> list[float]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
+        return [_as_float(value, key)]
     if isinstance(value, (list, tuple)) and value:
         out = []
         for v in value:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"{key} entries must be numbers, got {v!r}")
-            out.append(float(v))
+            out.append(_as_float(v, key))
         return out
     raise ConfigError(f"{key} must be a number or a nonempty list, got {value!r}")
 
 
 def _as_angle(value, key: str) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() == "pi":
-            return math.pi
-        raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
-    return float(value)
+    if isinstance(value, str) and value.strip().lower() == "pi":
+        return math.pi
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        angle = _as_float(value, key)
+        if math.isfinite(angle):
+            return angle
+    raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
 
 
 def _as_int(value, key: str, minimum: int, maximum: int | None = None) -> int:
@@ -147,7 +156,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if "swap_depth" in merged:
         cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1)
     if "trials" in merged:
-        cfg.trials = _as_int(merged["trials"], "trials", 0)
+        cfg.trials = _as_int(merged["trials"], "trials", 0, MAX_TRIALS)
         if cfg.trials and args.command not in _SAMPLING_COMMANDS:
             raise ConfigError(
                 f"trials must be 0 for {args.command}, which samples nothing, "

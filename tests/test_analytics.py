@@ -236,6 +236,32 @@ class TestCompareYieldIsTheOracle:
             report = compare_yield(a, b, n_rounds, qnd_theta)
             assert_bit_equal(report, exact[:n_rounds], num / den, a, b)
 
+    def test_straddling_bounds_retry_to_the_exact_float(self, monkeypatch):
+        # from 2 kept bits the first passes cannot decide every round, so
+        # the loop must double the precision until the bounds agree
+        monkeypatch.setattr(analytics, "_START_BITS", 2)
+        precisions = []
+        bound_terms = analytics._bound_terms
+
+        def spy(u, v, live, bits, up):
+            precisions.append(bits)
+            return bound_terms(u, v, live, bits, up)
+
+        monkeypatch.setattr(analytics, "_bound_terms", spy)
+        for alpha_sq in (0.3, 0.77, 1e-300, 0.5):
+            a, b = coeffs(alpha_sq)
+            exact = [r.yield_value for r in yield_oracle(a, b, 10)]
+            num, den = 0, 1
+            passes = []
+            for n_rounds, value in enumerate(exact, start=1):
+                num = num * value.denominator + value.numerator * den
+                den *= value.denominator
+                precisions.clear()
+                report = compare_yield(a, b, n_rounds)
+                assert_bit_equal(report, exact[:n_rounds], num / den, a, b)
+                passes.append(len(set(precisions)))
+            assert max(passes) > 1, alpha_sq
+
     def test_zeroing_reads_the_exact_yield(self, monkeypatch):
         # a stand-in series of ones shows which rounds get zeroed
         monkeypatch.setattr(analytics, "yield_series", lambda a, b, n: [1.0] * n)

@@ -91,6 +91,33 @@ class TestConfigHandling:
         assert code == 1
         assert "trials" in err
 
+    @pytest.mark.parametrize(
+        "command,trials",
+        [("concentrate", 100000000000000000000), ("generate", 2**30 + 1)],
+    )
+    def test_trials_above_cap(self, capsys, command, trials):
+        code, out, err = run_cli([command, "--trials", str(trials)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "trials" in err
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("concentrate", "alpha_sq", [0.3, 10**400]),
+            ("concentrate", "theta_ab", 10**400),
+            ("concentrate", "qnd_theta", 10**400),
+            ("generate", "p_a", 10**400),
+        ],
+        ids=["alpha_sq", "theta_ab", "qnd_theta", "p_a"],
+    )
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and key in err
+
     @pytest.mark.parametrize("key", ["theta_ab", "qnd_theta"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle(self, tmp_path, capsys, key, value):
@@ -311,6 +338,7 @@ GOLDEN_CASES = [
     ),
     ("yield", {"alpha_sq": [0.2, 0.5, 0.7], "rounds": 8}, "yield_rounds8.csv"),
     ("yield", {"alpha_sq": [0.3, 0.49, 0.93], "rounds": 12}, "yield_rounds12.csv"),
+    ("yield", {"alpha_sq": [1e-300, 0.3, 0.77], "rounds": 16}, "yield_rounds16.csv"),
     (
         "swap-chain",
         {"alpha_sq": 0.3, "swap_depth": 40, "format": "json"},
