@@ -9,9 +9,12 @@ This module evaluates the per-source-pair yield of each round via
   with a per-source-pair inventory (round n is fed by 2**n source pairs
   per attempt).  ``yield_oracle`` is the reference: every quantity is a
   reduced ``Fraction``.  ``compare_yield`` evaluates the same recursion
-  with certified rounding: lower and upper bounds of bounded precision,
-  rerun at twice the precision until both bounds of every value round
-  to the same float, so its floats equal the reference's bit for bit;
+  with certified rounding: bounds of P digits in ROUND_FLOOR and
+  ROUND_CEILING ``decimal`` contexts, rerun at 2P digits until both
+  bounds of every value round to the same float.  That ends: past the
+  exact integers' length only the division rounds, and its bracket
+  narrows past every boundary between doubles.  So its floats equal
+  the reference's bit for bit;
 * ``monte_carlo_yield``: seeded sampling of the herald tree whose branch
   probabilities an ``IterationLedger`` already walked.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +49,8 @@ YIELD_MATCH_TOL = 1e-12
 #: oracle round cap: round n is fed by 2**n source pairs
 MAX_ORACLE_ROUNDS = 16
 
-#: bits kept per value in the first pass of ``_oracle_floats``
-_START_BITS = 160
+#: decimal digits kept per value in the first pass of ``_oracle_floats``
+_START_DIGITS = 50
 
 
 def _balance_ratio(x: float, y: float, power: int) -> float:
@@ -260,85 +264,35 @@ def monte_carlo_yield(
     return out
 
 
-def _trunc(m: int, e: int, bits: int, up: bool) -> tuple[int, int]:
-    """m * 2**e cut to ``bits`` significant bits, rounded up or down."""
-    drop = m.bit_length() - bits
-    if drop <= 0:
-        return m, e
-    return (-(-m >> drop) if up else m >> drop), e + drop
-
-
-def _mul(a: tuple[int, int], b: tuple[int, int], bits: int, up: bool):
-    """a * b, rounded up or down."""
-    return _trunc(a[0] * b[0], a[1] + b[1], bits, up)
-
-
-def _add(a: tuple[int, int], b: tuple[int, int], bits: int, up: bool):
-    """Sum of two nonnegative values, rounded up or down.
-
-    A term wholly below the kept bits of the other is dropped when
-    rounding down and stood in for by a power of two above it when
-    rounding up, so no shift grows with the gap between the terms.
-    """
-    if not a[0]:
-        return b
-    if not b[0]:
-        return a
-    if a[0].bit_length() + a[1] < b[0].bit_length() + b[1]:
-        a, b = b, a
-    (ma, ea), (mb, eb) = a, b
-    floor = ma.bit_length() + ea - bits - 2
-    if mb.bit_length() + eb < floor:
-        if not up:
-            return a
-        mb, eb = 1, floor
-    e = min(ea, eb)
-    return _trunc((ma << (ea - e)) + (mb << (eb - e)), e, bits, up)
-
-
 def _bound_terms(
-    u: int, v: int, live: int, bits: int, up: bool
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    u: int, v: int, live: int, ctx: Context
+) -> list[tuple[Decimal, Decimal]]:
     """Lower (or upper) bounds on the yield ratios of rounds 1..``live``.
 
     Write x_n = u_n/s_n with s_n = u_n + v_n; the recursion squares both
     weights, u_{n+1} = u_n**2 and v_{n+1} = v_n**2.  Round n then yields
     2*w_n/E_n with w_n = u_n*v_n, E_1 = 2*s_1**2 and E_{n+1} =
     2*E_n*s_{n+1}, and the total of rounds 1..n is T_n/E_n with T_n =
-    2*s_n*T_{n-1} + 2*w_n.  Every value is a (mantissa, exponent) pair
-    cut to ``bits`` bits in the one direction ``up``; only sums and
-    products of nonnegative values occur, so each result bounds its
-    exact value from the same side.  Returns (numerator, denominator)
-    per round, then the total's.
+    2*s_n*T_{n-1} + 2*w_n.  Every value, the inputs included, is a
+    ``Decimal`` made by ``ctx`` alone, rounded to its precision in its
+    one direction (ROUND_FLOOR or ROUND_CEILING); only sums and products
+    of nonnegative values occur, so each result bounds its exact value
+    from the same side.  Returns (numerator, denominator) per round,
+    then the total's.
     """
-    den = _trunc(u + v, 0, bits, up)  # E_0 = s_1, so that E_1 = 2*s_1**2
-    u, v = _trunc(u, 0, bits, up), _trunc(v, 0, bits, up)
-    total = (0, 0)
-    ratios = []
+    add, mul, make = ctx.add, ctx.multiply, ctx.create_decimal
+    den = make(u + v)  # E_0 = s_1, so that E_1 = 2*s_1**2
+    u, v, two = make(u), make(v), make(2)
+    total, ratios = make(0), []
     for n in range(live):
         if n:
-            u, v = _mul(u, u, bits, up), _mul(v, v, bits, up)
-        (ms, es), (mw, ew) = _add(u, v, bits, up), _mul(u, v, bits, up)
-        s2, w2 = (ms, es + 1), (mw, ew + 1)  # 2*s_n and 2*w_n
-        den = _mul(s2, den, bits, up)
-        total = _add(_mul(s2, total, bits, up), w2, bits, up)
+            u, v = mul(u, u), mul(v, v)
+        s2, w2 = mul(two, add(u, v)), mul(two, mul(u, v))  # 2*s_n and 2*w_n
+        den = mul(s2, den)
+        total = add(mul(s2, total), w2)
         ratios.append((w2, den))
     ratios.append((total, den))
     return ratios
-
-
-def _ratio(num: tuple[int, int], den: tuple[int, int]) -> float:
-    """num/den correctly rounded to a float by ``int / int``."""
-    (mn, en), (md, ed) = num, den
-    shift = en - ed
-    # num/den < 2**(num bits - den bits + 1 + shift); below 2**-1075 it
-    # rounds to 0.0, so skip the shift, which can run to millions of bits
-    # at underflow scale
-    if not mn or mn.bit_length() - md.bit_length() + 1 + shift <= -1075:
-        return 0.0
-    if shift >= 0:
-        return (mn << shift) / md
-    return mn / (md << -shift)
 
 
 def _oracle_floats(
@@ -346,18 +300,21 @@ def _oracle_floats(
 ) -> tuple[list[float], float, int]:
     """``yield_oracle``'s yields and their total, each correctly rounded.
 
-    Ziv's strategy over the interval recursion of ``_bound_terms``: a
+    Ziv's strategy over the interval recursion of ``_bound_terms``, run
+    in a ROUND_FLOOR and a ROUND_CEILING ``decimal`` context of P digits
+    and the widest exponent range, so nothing over- or underflows: a
     round's float is emitted once its lower bound num_lo/den_hi and its
-    upper bound num_hi/den_lo round to the same double; if any round or
-    the total straddles two doubles, the precision doubles and the pass
-    reruns.  Once the precision reaches the exact bit lengths nothing is
-    cut, both bounds are the exact ratio, and the loop ends.  Also
-    returns how many leading rounds have an exactly nonzero yield: the
-    probe's herald actions cut the tree as in ``yield_oracle``, and u*v
-    = 0 keeps nothing.
+    upper bound num_hi/den_lo, each divided in its own context, round to
+    the same double; if any round or the total straddles two doubles, P
+    doubles and both passes rerun.  Once P covers the exact integers only
+    the division rounds, and its bracket of one unit in the P-th digit
+    shrinks past, or lands on, every boundary between doubles (each has
+    a finite decimal expansion), so the loop ends.  Also returns how
+    many leading rounds have an exactly nonzero yield: the probe's
+    herald actions cut the tree as in ``yield_oracle``, and u*v = 0
+    keeps nothing.
     """
-    u, s = x.numerator, x.denominator
-    v = s - u
+    u, v = x.numerator, x.denominator - x.numerator
     if KEEP not in actions or not u * v:
         live = 0
     elif RECYCLE not in actions:
@@ -367,19 +324,21 @@ def _oracle_floats(
     zeros = [0.0] * (n_rounds - live)
     if not live:
         return zeros, 0.0, 0
-    bits = _START_BITS
+    digits = _START_DIGITS
     while True:
-        lower = _bound_terms(u, v, live, bits, up=False)
-        upper = _bound_terms(u, v, live, bits, up=True)
+        down = Context(digits, ROUND_FLOOR, MIN_EMIN, MAX_EMAX)
+        up = Context(digits, ROUND_CEILING, MIN_EMIN, MAX_EMAX)
+        bounds = zip(_bound_terms(u, v, live, down), _bound_terms(u, v, live, up))
         floats = []
-        for (num_lo, den_lo), (num_hi, den_hi) in zip(lower, upper):
-            value = _ratio(num_lo, den_hi)
-            if value != _ratio(num_hi, den_lo):
+        for (num_lo, den_lo), (num_hi, den_hi) in bounds:
+            # not float(Decimal), which reads (and may create) the thread's context
+            value = float(down.to_sci_string(down.divide(num_lo, den_hi)))
+            if value != float(up.to_sci_string(up.divide(num_hi, den_lo))):
                 break
             floats.append(value)
         else:
             return floats[:-1] + zeros, floats[-1], live
-        bits *= 2
+        digits *= 2
 
 
 def compare_yield(

@@ -157,13 +157,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1)
     if "trials" in merged:
         cfg.trials = _as_int(merged["trials"], "trials", 0, MAX_TRIALS)
-        if cfg.trials and args.command not in _SAMPLING_COMMANDS:
-            raise ConfigError(
-                f"trials must be 0 for {args.command}, which samples nothing, "
-                f"got {cfg.trials}"
-            )
     if "seed" in merged:
         cfg.seed = _as_int(merged["seed"], "seed", 0)
+    for key in ("trials", "seed"):
+        value = getattr(cfg, key)
+        if value and args.command not in _SAMPLING_COMMANDS:
+            raise ConfigError(
+                f"{key} must be 0 for {args.command}, which samples nothing, "
+                f"got {value}"
+            )
     if "p_a" in merged:
         cfg.p_a = _as_float_list(merged["p_a"], "p_a")
     if "p_b" in merged:

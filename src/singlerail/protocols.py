@@ -462,10 +462,10 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     (a1, b1, a2, b2).  A beam splitter over the second pair's modes
     followed by one click always succeeds and leaves the first pair's
     modes carrying coefficients proportional to
-    ``(alpha^2, +/- beta^2 e^{2i theta})``.  The difference port is wired
-    to D1, so the D1 branch carries the '-' sign and a recorded phase
-    flip restores it; both branches reduce to the same corrected pair,
-    which is returned.
+    ``(alpha^2, +/- beta^2 e^{2i theta})``.  Wired like the kept branch of
+    ``concentration_round``, the D2 branch carries the '-' sign and records
+    a phase flip on b1 for ``corrected_state()``; both branches reduce to
+    the same pair, and the D1 one is returned.
     """
     if result.tag is not Tag.RECYCLABLE:
         raise ContractError(f"expected a recyclable branch, got {result.tag}")
@@ -473,11 +473,11 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     if state is None or len(state.register) != 4:
         raise ContractError("recyclable branch must carry a four-mode state")
     a1, b1, a2, b2 = state.register.names
-    out_d, out_c = _fresh_names(("d2", "c2"), state.register.names)
-    # b2 feeds the difference combination and the difference lands on the
-    # c-port, so the D1 (c-port) branch picks up the '-' sign
+    out_c, out_d = _fresh_names(("c2", "d2"), state.register.names)
+    # a2 feeds the difference combination and the difference lands on the
+    # d-port, so the D2 (d-port) branch picks up the '-' sign
     splitter = BeamSplitter(
-        in_modes=(a2, b2), out_modes=(out_d, out_c), minus_input=b2
+        in_modes=(a2, b2), out_modes=(out_c, out_d), minus_input=a2
     )
     mixed = apply_beam_splitter(state, splitter)
 
@@ -489,15 +489,14 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
                 f"{click.pattern!r}"
             )
         label = "D1" if click.fired == out_c else "D2"
-        post = click.post_state
-        if label == "D1":
-            post = phase_flip(post, b1)
-        reduced[label] = _pair_from_state(post, a1, b1)
+        herald = Herald((), sign_correction=label == "D2", correction_mode=b1)
+        branch = ProtocolResult(result.tag, herald, click.probability, click.post_state)
+        reduced[label] = _pair_from_state(branch.corrected_state(), a1, b1)
     if set(reduced) != {"D1", "D2"}:
         raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
     if not reduced["D1"].close_to(reduced["D2"]):
         raise ContractError("detector branches disagree after sign correction")
-    return reduced["D2"]
+    return reduced["D1"]
 
 
 # -- iteration and sampling --------------------------------------------------------

@@ -1,3 +1,6 @@
+import contextvars
+import decimal
+import functools
 import hashlib
 import math
 from dataclasses import fields
@@ -207,8 +210,27 @@ def assert_bit_equal(report, exact, total, alpha, beta):
     assert report.cumulative_oracle == total
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_reference(alpha_sq: float, qnd_theta: float):
+    """``yield_oracle``'s exact yields of rounds 1-10 and the float of each
+    running total, built once per (alpha_sq, probe).
+
+    Round i of the oracle does not depend on how many rounds follow it,
+    so one 10-round reference serves rounds 1-10; its running total is
+    kept unreduced, which spares a gcd on every sum.
+    """
+    a, b = coeffs(alpha_sq)
+    exact = tuple(r.yield_value for r in yield_oracle(a, b, 10, qnd_theta))
+    totals, num, den = [], 0, 1
+    for value in exact:
+        num = num * value.denominator + value.numerator * den
+        den *= value.denominator
+        totals.append(num / den)
+    return exact, tuple(totals)
+
+
 class TestCompareYieldIsTheOracle:
-    """``compare_yield``'s integer evaluation against the ``Fraction`` reference."""
+    """``compare_yield``'s certified rounding against the ``Fraction`` reference."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -225,42 +247,58 @@ class TestCompareYieldIsTheOracle:
     @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
     def test_edges_bit_equal(self, alpha_sq, qnd_theta):
         a, b = coeffs(alpha_sq)
-        # round i of the oracle does not depend on how many rounds follow
-        # it, so one 10-round reference serves rounds 1-10; its running
-        # total is kept unreduced, which spares a gcd on every sum
-        exact = [r.yield_value for r in yield_oracle(a, b, 10, qnd_theta)]
-        num, den = 0, 1
-        for n_rounds, value in enumerate(exact, start=1):
-            num = num * value.denominator + value.numerator * den
-            den *= value.denominator
+        exact, totals = oracle_reference(alpha_sq, qnd_theta)
+        for n_rounds, total in enumerate(totals, start=1):
             report = compare_yield(a, b, n_rounds, qnd_theta)
-            assert_bit_equal(report, exact[:n_rounds], num / den, a, b)
+            assert_bit_equal(report, exact[:n_rounds], total, a, b)
 
     def test_straddling_bounds_retry_to_the_exact_float(self, monkeypatch):
-        # from 2 kept bits the first passes cannot decide every round, so
+        # from 1 kept digit the first passes cannot decide every round, so
         # the loop must double the precision until the bounds agree
-        monkeypatch.setattr(analytics, "_START_BITS", 2)
+        monkeypatch.setattr(analytics, "_START_DIGITS", 1)
         precisions = []
         bound_terms = analytics._bound_terms
 
-        def spy(u, v, live, bits, up):
-            precisions.append(bits)
-            return bound_terms(u, v, live, bits, up)
+        def spy(u, v, live, ctx):
+            precisions.append(ctx.prec)
+            return bound_terms(u, v, live, ctx)
 
         monkeypatch.setattr(analytics, "_bound_terms", spy)
         for alpha_sq in (0.3, 0.77, 1e-300, 0.5):
             a, b = coeffs(alpha_sq)
-            exact = [r.yield_value for r in yield_oracle(a, b, 10)]
-            num, den = 0, 1
+            exact, totals = oracle_reference(alpha_sq, math.pi)
             passes = []
-            for n_rounds, value in enumerate(exact, start=1):
-                num = num * value.denominator + value.numerator * den
-                den *= value.denominator
+            for n_rounds, total in enumerate(totals, start=1):
                 precisions.clear()
                 report = compare_yield(a, b, n_rounds)
-                assert_bit_equal(report, exact[:n_rounds], num / den, a, b)
+                assert_bit_equal(report, exact[:n_rounds], total, a, b)
                 passes.append(len(set(precisions)))
             assert max(passes) > 1, alpha_sq
+
+    def test_caller_decimal_context_is_irrelevant(self):
+        # every bound comes from an explicit context; a coarse, truncating
+        # thread context that traps on any rounding must change nothing
+        points = [coeffs(alpha_sq) for alpha_sq in (0.3, 1e-300)]
+        expected = [compare_yield(a, b, 16) for a, b in points]
+        caller = decimal.Context(
+            prec=3,
+            rounding=decimal.ROUND_DOWN,
+            traps=[decimal.Inexact, decimal.Underflow, decimal.Subnormal],
+        )
+        with decimal.localcontext(caller) as ctx:
+            assert [compare_yield(a, b, 16) for a, b in points] == expected
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.rounding) == (3, decimal.ROUND_DOWN)
+            assert {s for s, on in ctx.traps.items() if on} == {
+                decimal.Inexact,
+                decimal.Underflow,
+                decimal.Subnormal,
+            }
+            assert not any(ctx.flags.values())
+        # where no decimal context exists yet, none is made
+        fresh = contextvars.Context()
+        assert fresh.run(compare_yield, *points[1], 16) == expected[1]
+        assert len(fresh) == 0
 
     def test_zeroing_reads_the_exact_yield(self, monkeypatch):
         # a stand-in series of ones shows which rounds get zeroed

@@ -91,6 +91,20 @@ class TestConfigHandling:
         assert code == 1
         assert "trials" in err
 
+    @pytest.mark.parametrize("command", ["yield", "swap-chain"])
+    def test_seed_on_command_that_samples_nothing(self, tmp_path, capsys, command):
+        code, out, err = run_cli([command, "--seed", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "seed" in err
+        cfg = write_config(tmp_path, alpha_sq=0.3, seed=1)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 1
+        assert "seed" in err
+        cfg = write_config(tmp_path, alpha_sq=0.3, seed=0)
+        code, _, _ = run_cli([command, "--config", cfg], capsys)
+        assert code == 0
+
     @pytest.mark.parametrize(
         "command,trials",
         [("concentrate", 100000000000000000000), ("generate", 2**30 + 1)],
@@ -340,6 +354,11 @@ GOLDEN_CASES = [
     ("yield", {"alpha_sq": [0.3, 0.49, 0.93], "rounds": 12}, "yield_rounds12.csv"),
     ("yield", {"alpha_sq": [1e-300, 0.3, 0.77], "rounds": 16}, "yield_rounds16.csv"),
     (
+        "yield",
+        {"alpha_sq": [5e-324, 0.5, 0.99999999999999], "rounds": 16},
+        "yield_rounds16_edges.csv",
+    ),
+    (
         "swap-chain",
         {"alpha_sq": 0.3, "swap_depth": 40, "format": "json"},
         "swap_chain_depth40.json",
@@ -434,13 +453,15 @@ class TestOutputEncoding:
         assert outs[0] == outs[1]
 
     def test_json_echoes_resolved_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, alpha_sq=0.8, rounds=4, seed=3)
-        code, out, _ = run_cli(["yield", "--config", cfg, "--format", "json"], capsys)
+        cfg = write_config(tmp_path, alpha_sq=0.8, rounds=4, trials=1000, seed=3)
+        code, out, _ = run_cli(
+            ["concentrate", "--config", cfg, "--format", "json"], capsys
+        )
         doc = json.loads(out)
         assert doc["config"]["alpha_sq"] == [0.8]
         assert doc["config"]["rounds"] == 4
         assert doc["config"]["seed"] == 3
-        assert doc["config"]["command"] == "yield"
+        assert doc["config"]["command"] == "concentrate"
         assert doc["summary"]["per_alpha"][0]["documented_discrepancies"] == 2
 
 
