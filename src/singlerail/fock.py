@@ -14,20 +14,20 @@ Conventions enforced here:
 * creation operators follow the usual ladder normalization,
   ``a^dag |n> = sqrt(n+1) |n+1>``, and do not renormalize the state;
 * global phase is never canonicalized automatically, comparisons go
-  through ``fidelity`` which is phase-insensitive.
+  through ``fidelity`` which is phase-insensitive;
+* only exact zeros are dropped, so a walk follows the exact weights down
+  to underflow; a measurement is one ``partition`` pass over the kets.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import CapacityError, ConfigError, DegenerateStateError, RegisterError
 
 #: absolute tolerance for "this vector has unit norm"
 NORM_TOL = 1e-12
-#: amplitudes below this modulus are round-off dust and are dropped
-DEFAULT_PRUNE_TOL = 1e-15
 #: total photon number allowed in a register unless configured otherwise
 DEFAULT_CUTOFF = 2
 
@@ -97,9 +97,9 @@ class FockState:
 
     ``terms`` maps occupation vectors (one entry per register mode) to
     complex amplitudes.  Construction validates shape, cutoff and
-    finiteness and prunes amplitudes below ``DEFAULT_PRUNE_TOL``; it does
-    not normalize, since intermediate vectors (e.g. after a creation
-    operator) are legitimately unnormalized.
+    finiteness and drops exact zeros only; it does not normalize, since
+    intermediate vectors (e.g. after a creation operator) are
+    legitimately unnormalized.
     """
 
     __slots__ = ("register", "terms")
@@ -122,7 +122,7 @@ class FockState:
             amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
-            if abs(amp) >= DEFAULT_PRUNE_TOL:
+            if amp:
                 kept[occ] = amp
         self.register = register
         self.terms = kept
@@ -200,32 +200,38 @@ class FockState:
 
     # -- measurement-style operations ---------------------------------------
 
+    def partition(
+        self, key: Callable[[Occupation], Hashable], drop: tuple[ModeId, ...] = ()
+    ) -> dict[Hashable, tuple[float, "FockState"]]:
+        """Group kets by ``key(occupation)`` in one pass: one readout.
+
+        Returns ``{key: (probability, renormalized state)}`` in order of
+        first appearance; zero-probability groups are left out, since
+        impossible outcomes are data, not errors.  The modes in ``drop``,
+        whose occupation the key must fix, leave every post-state.
+        """
+        groups: dict[Hashable, dict[Occupation, complex]] = {}
+        for occ, amp in self.terms.items():
+            groups.setdefault(key(occ), {})[occ] = amp
+        register, reduce = self._dropping(drop) if drop else (self.register, dict)
+        out: dict[Hashable, tuple[float, FockState]] = {}
+        for k, kets in groups.items():
+            prob = math.fsum(abs(a) ** 2 for a in kets.values())
+            if prob > 0.0:
+                scale = 1.0 / math.sqrt(prob)
+                post = {occ: a * scale for occ, a in reduce(kets).items()}
+                out[k] = prob, FockState(register, post)
+        return out
+
     def project(
         self, predicate: Callable[[Occupation], bool]
     ) -> tuple[float, "FockState | None"]:
-        """Project onto the span of kets whose occupation satisfies ``predicate``.
+        """Project onto the kets whose occupation satisfies ``predicate``.
 
-        Returns ``(probability, renormalized state)``.  A zero-probability
-        projection returns ``(0.0, None)`` rather than raising: impossible
-        outcomes are data, not errors.
+        Returns ``(probability, renormalized state)``, or ``(0.0, None)``
+        for a zero-probability projection.
         """
-        selected = {occ: amp for occ, amp in self.terms.items() if predicate(occ)}
-        prob = math.fsum(abs(a) ** 2 for a in selected.values())
-        if prob <= 0.0 or not selected:
-            return 0.0, None
-        scale = 1.0 / math.sqrt(prob)
-        post = FockState(
-            self.register, {occ: amp * scale for occ, amp in selected.items()}
-        )
-        return prob, post
-
-    def project_count(
-        self, modes: Iterable[ModeId], counts: int | Iterable[int]
-    ) -> tuple[float, "FockState | None"]:
-        """Project on 'total photons over ``modes`` lies in ``counts``'."""
-        idxs = self.register.indices(modes)
-        allowed = {counts} if isinstance(counts, int) else set(counts)
-        return self.project(lambda occ: sum(occ[i] for i in idxs) in allowed)
+        return self.partition(lambda occ: bool(predicate(occ))).get(True, (0.0, None))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -278,25 +284,28 @@ class FockState:
         Used after a projective measurement left those modes in a product
         state; amplitudes carry over unchanged.
         """
-        drop = set(self.register.indices(modes))
-        if len(drop) >= len(self.register):
+        register, reduce = self._dropping(modes)
+        return FockState(register, reduce(self.terms))
+
+    def _dropping(self, modes: Iterable[ModeId]) -> tuple[ModeRegister, Callable]:
+        """The register without ``modes`` and the map of kets onto it, which
+        raises ``RegisterError`` unless the kets agree on those modes."""
+        dropped = self.register.indices(modes)
+        if len(set(dropped)) >= len(self.register):
             raise ConfigError("cannot drop every mode of a register")
-        levels = {
-            tuple(occ[i] for i in sorted(drop)) for occ in self.terms
-        }
-        if len(levels) > 1:
-            raise RegisterError(
-                "modes are entangled with the rest of the register; "
-                f"occupations seen: {sorted(levels)!r}"
-            )
-        keep = [i for i in range(len(self.register)) if i not in drop]
-        reg = ModeRegister(
-            tuple(self.register.names[i] for i in keep), self.register.cutoff
-        )
-        out = {
-            tuple(occ[i] for i in keep): amp for occ, amp in self.terms.items()
-        }
-        return FockState(reg, out)
+        keep = [i for i in range(len(self.register)) if i not in dropped]
+
+        def reduce(kets: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
+            levels = {tuple(occ[i] for i in dropped) for occ in kets}
+            if len(levels) > 1:
+                raise RegisterError(
+                    "modes are entangled with the rest of the register; "
+                    f"occupations seen: {sorted(levels)!r}"
+                )
+            return {tuple(occ[i] for i in keep): amp for occ, amp in kets.items()}
+
+        names = tuple(self.register.names[i] for i in keep)
+        return ModeRegister(names, self.register.cutoff), reduce
 
 
 # -- constructors ------------------------------------------------------------

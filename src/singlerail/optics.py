@@ -156,13 +156,11 @@ def qnd_measure(state: FockState, config: QndConfig) -> list[QndOutcome]:
     Nondemolition: the post-states keep their photons.  One outcome per
     class with nonzero probability; probabilities sum to one.
     """
-    outcomes = []
-    for cls in config.outcome_classes(state.register.cutoff):
-        prob, post = state.project_count(config.monitored, cls)
-        if post is None:
-            continue
-        outcomes.append(QndOutcome(cls, prob, post))
-    return outcomes
+    idxs = state.register.indices(config.monitored)
+    classes = config.outcome_classes(state.register.cutoff)
+    class_of = {n: cls for cls in classes for n in cls}
+    seen = state.partition(lambda occ: class_of[sum(occ[i] for i in idxs)])
+    return [QndOutcome(cls, *seen[cls]) for cls in classes if cls in seen]
 
 
 @dataclass(frozen=True)
@@ -202,30 +200,20 @@ def detect_single_photon(
     if len(set(det)) != len(det) or not det:
         raise ConfigError(f"detector modes must be distinct and nonempty: {det!r}")
     idxs = state.register.indices(det)
-    seen = {tuple(occ[i] for i in idxs) for occ in state.terms}
+    seen = state.partition(lambda occ: tuple(occ[i] for i in idxs), drop=det)
 
-    ordered: list[tuple[int, ...]] = []
-    for k in range(len(det)):
-        single = tuple(1 if j == k else 0 for j in range(len(det)))
-        if single in seen:
-            ordered.append(single)
-    zero = (0,) * len(det)
-    if zero in seen:
-        ordered.append(zero)
+    ordered = [tuple(int(j == k) for j in range(len(det))) for k in range(len(det))]
+    ordered.append((0,) * len(det))
     ordered.extend(sorted(p for p in seen if sum(p) >= 2))
 
     outcomes = []
     for pattern in ordered:
-        prob, post = state.project(
-            lambda occ, pattern=pattern: tuple(occ[i] for i in idxs) == pattern
-        )
-        if post is None:
+        if pattern not in seen:
             continue
-        reduced = post.without_modes(det)
         total = sum(pattern)
         fired = det[pattern.index(1)] if total == 1 else None
         outcomes.append(
-            DetectionOutcome(fired, pattern, prob, reduced, flagged=total >= 2)
+            DetectionOutcome(fired, pattern, *seen[pattern], flagged=total >= 2)
         )
     return outcomes
 

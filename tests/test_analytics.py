@@ -3,6 +3,7 @@ import decimal
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -194,6 +195,28 @@ class TestOracleAtProbeAngle:
             assert entry.yield_per_source_pair == pytest.approx(
                 float(oracle.yield_value), abs=1e-12
             )
+
+
+class TestWalkFollowsTheOracle:
+    """The state-vector walk against the exact recursion over the whole domain."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(min_value=-6.0, max_value=math.log10(0.5)),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+    )
+    def test_success_probability_at_every_normal_weight(self, log_t, mirror, theta_ab):
+        # alpha_sq log-uniform in [1e-6, 1/2], or mirrored into [1/2, 1 - 1e-6]
+        t = 10.0**log_t
+        pair = make_pair(1.0 - t if mirror else t, theta=theta_ab)
+        ledger = iterate_concentration(pair, 8)
+        rounds = yield_oracle(pair.alpha, pair.beta, 8)
+        for entry, oracle in zip(ledger.entries, rounds):
+            exact = float(oracle.success_probability)
+            if exact >= sys.float_info.min:
+                got = entry.success_probability
+                assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 PROBE_ANGLES = (math.pi, 1.0, math.pi / 2, 2 * math.pi / 3, 0.0)

@@ -254,14 +254,28 @@ class TestSwapChain:
         assert float(rows[0]["entanglement_ratio"]) == pytest.approx(1 / 16, abs=1e-12)
 
     def test_beta_underflow_is_not_a_crash(self, tmp_path, capsys):
-        # beta underflows to 0 after ~80 swaps at alpha_sq 0.7
+        # every nonzero amplitude is kept, so the ratio follows the closed
+        # form (beta_sq / alpha_sq) ** (n + 1) far below 1e-15
         cfg = write_config(tmp_path, alpha_sq=0.7, swap_depth=120)
         code, out, _ = run_cli(["swap-chain", "--config", cfg], capsys)
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 120
         assert all(r["closed_form_check"] == "pass" for r in rows)
-        assert float(rows[-1]["entanglement_ratio"]) == 0.0
+        assert float(rows[-1]["entanglement_ratio"]) == pytest.approx(
+            (3 / 7) ** 121, rel=1e-9, abs=0.0
+        )
+        # at alpha_sq 0.99 |beta|**2 underflows after n = 161 and beta
+        # itself reaches exactly 0 before n = 400: the ratio reads 0
+        cfg = write_config(tmp_path, alpha_sq=0.99, swap_depth=400)
+        code, out, _ = run_cli(["swap-chain", "--config", cfg], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 400
+        assert all(r["closed_form_check"] == "pass" for r in rows)
+        ratios = [float(r["entanglement_ratio"]) for r in rows]
+        assert ratios[160] > 0.0
+        assert set(ratios[161:]) == {0.0}
         assert float(rows[-1]["alpha_sq_n"]) == 1.0
 
 

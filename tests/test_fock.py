@@ -80,10 +80,14 @@ class TestFockStateConstruction:
         with pytest.raises(ConfigError):
             FockState(reg, {(1,): float("nan")})
 
-    def test_pruning_below_tolerance(self):
-        reg = ModeRegister(("a",))
-        s = FockState(reg, {(1,): 1.0, (0,): 1e-16})
-        assert len(s) == 1
+    def test_keeps_every_nonzero_amplitude(self):
+        reg = ModeRegister(("a", "b"))
+        s = FockState(reg, {(1, 0): 1.0, (0, 1): 1e-16, (0, 0): 5e-324})
+        assert s.amplitude((0, 1)) == 1e-16
+        assert s.amplitude((0, 0)) == 5e-324
+        assert len(s) == 3
+        s = FockState(reg, {(1, 0): 1.0, (0, 1): 0j, (0, 0): -0.0})
+        assert set(s.terms) == {(1, 0)}
 
     def test_constructors(self):
         reg = ModeRegister(("a", "b"))
@@ -168,16 +172,27 @@ class TestProjection:
     def test_project_count(self):
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(1, 0): 1.0, (0, 1): 1.0}).normalize()
-        prob, post = s.project_count("a", 1)
+        prob, post = s.partition(lambda occ: occ[0] == 1)[True]
         assert prob == pytest.approx(0.5)
         assert post.amplitude((1, 0)) == pytest.approx(1.0)
 
     def test_project_count_class(self):
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0}).normalize()
-        prob, post = s.project_count("a", (0, 2))
+        prob, post = s.partition(lambda occ: occ[0] in (0, 2))[True]
         assert prob == pytest.approx(2 / 3)
         assert post.amplitude((1, 0)) == 0
+
+    def test_partition_leaves_out_zero_probability_groups(self):
+        reg = ModeRegister(("a", "b"))
+        s = FockState(reg, {(1, 0): 1.0, (0, 1): 1e-200})
+        assert list(s.partition(lambda occ: occ[1])) == [0]
+
+    def test_partition_drop_not_fixed_by_key_is_rejected(self):
+        reg = ModeRegister(("a", "b"))
+        s = FockState(reg, {(1, 0): 1.0, (0, 1): 1.0}).normalize()
+        with pytest.raises(RegisterError):
+            s.partition(lambda occ: sum(occ), drop=("b",))
 
 
 class TestRegisterSurgery:

@@ -162,6 +162,21 @@ class TestQnd:
         assert even.probability == pytest.approx(1 / 3)
         assert even.post_state.amplitude((1, 1)) == pytest.approx(1.0)
 
+    def test_each_outcome_is_the_projection_on_its_class(self, rng):
+        reg = ModeRegister(("x", "b1", "y", "b2"))
+        for theta in (math.pi, 1.0):
+            cfg = QndConfig(("b1", "b2"), theta)
+            for _ in range(20):
+                s = random_state(rng, reg)
+                outs = qnd_measure(s, cfg)
+                assert [o.outcome_class for o in outs] == cfg.outcome_classes(2)
+                for o in outs:
+                    prob, post = s.project(
+                        lambda occ, cls=o.outcome_class: occ[1] + occ[3] in cls
+                    )
+                    assert o.probability == prob
+                    assert o.post_state.serialize() == post.serialize()
+
 
 class TestDetection:
     def test_distinct_nonempty_modes_required(self):
@@ -202,6 +217,27 @@ class TestDetection:
             assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-12)
             patterns = [o.pattern for o in outs]
             assert len(patterns) == len(set(patterns))
+
+    @pytest.mark.parametrize("det", [("c",), ("d", "a"), ("b", "d", "a")])
+    def test_each_outcome_is_projection_then_drop(self, rng, det):
+        # the one-pass readout against the two-step reference, bit for bit
+        reg = ModeRegister(("a", "b", "c", "d"))
+        idxs = reg.indices(det)
+        singles = [tuple(int(j == k) for j in range(len(det))) for k in range(len(det))]
+        for _ in range(20):
+            s = random_state(rng, reg)
+            outs = detect_single_photon(s, det)
+            patterns = [o.pattern for o in outs]
+            multi = sorted(p for p in patterns if sum(p) >= 2)
+            assert patterns == singles + [(0,) * len(det)] + multi
+            for o in outs:
+                prob, post = s.project(
+                    lambda occ, p=o.pattern: tuple(occ[i] for i in idxs) == p
+                )
+                reduced = post.without_modes(det)
+                assert o.probability == prob
+                assert o.post_state.register == reduced.register
+                assert o.post_state.serialize() == reduced.serialize()
 
 
 class TestPhaseFlip:
