@@ -16,12 +16,18 @@ Conventions enforced here:
 * global phase is never canonicalized automatically, comparisons go
   through ``fidelity`` which is phase-insensitive;
 * only exact zeros are dropped, so a walk follows the exact weights down
-  to underflow; a measurement is one ``partition`` pass over the kets.
+  to underflow; a measurement is one ``partition`` pass over the kets;
+* public input is validated once: ``FockState(register, terms)`` checks
+  every ket; operation results go through the trusted ``FockState._of``,
+  which only rejects non-finite amplitudes and drops exact zeros.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import operator
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import CapacityError, ConfigError, DegenerateStateError, RegisterError
@@ -30,11 +36,31 @@ from .errors import CapacityError, ConfigError, DegenerateStateError, RegisterEr
 NORM_TOL = 1e-12
 #: total photon number allowed in a register unless configured otherwise
 DEFAULT_CUTOFF = 2
+#: entries per structural-plan cache; a run touches a handful of registers
+PLAN_CACHE_SIZE = 128
 
 #: modes are addressed by name; the register maps names to vector slots
 ModeId = str
 
 Occupation = tuple[int, ...]
+
+
+def _count(value: object, what: str) -> int:
+    """An exact integer read through ``operator.index``; bools are refused."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _weight(amps: Iterable[complex]) -> float:
+    """``math.fsum`` of |a|**2; an overflowing square is a ``ConfigError``."""
+    try:
+        return math.fsum(abs(a) ** 2 for a in amps)
+    except OverflowError:
+        raise ConfigError("|amplitude| past ~1.34e154: its square overflows") from None
 
 
 class ModeRegister:
@@ -45,7 +71,7 @@ class ModeRegister:
     bijection and never changes after construction.
     """
 
-    __slots__ = ("names", "cutoff", "_index")
+    __slots__ = ("names", "cutoff", "_index", "_hash")
 
     def __init__(self, names: Iterable[ModeId], cutoff: int = DEFAULT_CUTOFF):
         names = tuple(names)
@@ -53,11 +79,13 @@ class ModeRegister:
             raise ConfigError("a mode register needs at least one mode")
         if len(set(names)) != len(names):
             raise RegisterError(f"duplicate mode names in {names!r}")
-        if int(cutoff) < 1:
+        cutoff = _count(cutoff, "photon cutoff")
+        if cutoff < 1:
             raise ConfigError(f"photon cutoff must be positive, got {cutoff}")
         self.names = names
-        self.cutoff = int(cutoff)
+        self.cutoff = cutoff
         self._index = {name: i for i, name in enumerate(names)}
+        self._hash = hash((names, cutoff))
 
     def index(self, name: ModeId) -> int:
         try:
@@ -86,7 +114,7 @@ class ModeRegister:
         return self.names == other.names and self.cutoff == other.cutoff
 
     def __hash__(self) -> int:
-        return hash((self.names, self.cutoff))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ModeRegister({', '.join(self.names)}; cutoff={self.cutoff})"
@@ -99,16 +127,20 @@ class FockState:
     complex amplitudes.  Construction validates shape, cutoff and
     finiteness and drops exact zeros only; it does not normalize, since
     intermediate vectors (e.g. after a creation operator) are
-    legitimately unnormalized.
+    legitimately unnormalized.  Occupations are read with
+    ``operator.index`` (no bools, no two keys naming one occupation);
+    operation results skip these checks through ``_of``.  Norms and
+    readouts square amplitudes: past |amplitude| ~ 1.34e154, whose square
+    is the largest float, they raise ``ConfigError``.
     """
 
     __slots__ = ("register", "terms")
 
     def __init__(self, register: ModeRegister, terms: Mapping[Occupation, complex]):
         width = len(register)
-        kept: dict[Occupation, complex] = {}
+        checked: dict[Occupation, complex] = {}
         for occ, amp in terms.items():
-            occ = tuple(int(n) for n in occ)
+            occ = tuple(_count(n, "occupation") for n in occ)
             if len(occ) != width:
                 raise RegisterError(
                     f"occupation {occ!r} does not fit register {register!r}"
@@ -119,13 +151,23 @@ class FockState:
                 raise CapacityError(
                     f"occupation {occ!r} exceeds cutoff {register.cutoff}"
                 )
-            amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
-            if amp:
-                kept[occ] = amp
+            if occ in checked:
+                raise ConfigError(f"two keys name occupation {occ!r}")
+            checked[occ] = complex(amp)
         self.register = register
-        self.terms = kept
+        self.terms = FockState._of(register, checked).terms
+
+    @classmethod
+    def _of(cls, register: ModeRegister, terms: Mapping[Occupation, complex]):
+        """Trusted constructor for operation results: the occupations are
+        taken as valid, non-finite amplitudes raise, exact zeros drop."""
+        state = object.__new__(cls)
+        state.register = register
+        state.terms = kept = {occ: amp for occ, amp in terms.items() if amp}
+        if not all(map(cmath.isfinite, kept.values())):
+            occ, amp = next((o, a) for o, a in kept.items() if not cmath.isfinite(a))
+            raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
+        return state
 
     # -- elementary queries ------------------------------------------------
 
@@ -133,7 +175,7 @@ class FockState:
         return self.terms.get(tuple(occupation), 0j)
 
     def norm_sq(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self.terms.values())
+        return _weight(self.terms.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -177,7 +219,7 @@ class FockState:
         n = self.norm()
         if n < NORM_TOL:
             raise DegenerateStateError("cannot normalize a (numerically) zero vector")
-        return FockState(
+        return FockState._of(
             self.register, {occ: amp / n for occ, amp in self.terms.items()}
         )
 
@@ -195,8 +237,11 @@ class FockState:
         out: dict[Occupation, complex] = {}
         for occ_l, amp_l in self.terms.items():
             for occ_r, amp_r in other.terms.items():
-                out[occ_l + occ_r] = amp_l * amp_r
-        return FockState(reg, out)
+                occ = occ_l + occ_r
+                if sum(occ) > cutoff:
+                    raise CapacityError(f"occupation {occ!r} exceeds cutoff {cutoff}")
+                out[occ] = amp_l * amp_r
+        return FockState._of(reg, out)
 
     # -- measurement-style operations ---------------------------------------
 
@@ -216,11 +261,11 @@ class FockState:
         register, reduce = self._dropping(drop) if drop else (self.register, dict)
         out: dict[Hashable, tuple[float, FockState]] = {}
         for k, kets in groups.items():
-            prob = math.fsum(abs(a) ** 2 for a in kets.values())
+            prob = _weight(kets.values())
             if prob > 0.0:
                 scale = 1.0 / math.sqrt(prob)
                 post = {occ: a * scale for occ, a in reduce(kets).items()}
-                out[k] = prob, FockState(register, post)
+                out[k] = prob, FockState._of(register, post)
         return out
 
     def project(
@@ -247,7 +292,7 @@ class FockState:
         out = {
             tuple(occ[p] for p in perm): amp for occ, amp in self.terms.items()
         }
-        return FockState(register, out)
+        return FockState._of(register, out)
 
     def overlap(self, other: "FockState") -> complex:
         """Inner product <other|self>; registers must hold the same modes."""
@@ -276,7 +321,7 @@ class FockState:
         if len(set(new_names)) != len(new_names):
             raise RegisterError(f"relabeling {mapping!r} is not a bijection")
         reg = ModeRegister(new_names, self.register.cutoff)
-        return FockState(reg, dict(self.terms))
+        return FockState._of(reg, self.terms)
 
     def without_modes(self, modes: Iterable[ModeId]) -> "FockState":
         """Drop modes that sit in one definite Fock level across all terms.
@@ -285,15 +330,12 @@ class FockState:
         state; amplitudes carry over unchanged.
         """
         register, reduce = self._dropping(modes)
-        return FockState(register, reduce(self.terms))
+        return FockState._of(register, reduce(self.terms))
 
     def _dropping(self, modes: Iterable[ModeId]) -> tuple[ModeRegister, Callable]:
         """The register without ``modes`` and the map of kets onto it, which
         raises ``RegisterError`` unless the kets agree on those modes."""
-        dropped = self.register.indices(modes)
-        if len(set(dropped)) >= len(self.register):
-            raise ConfigError("cannot drop every mode of a register")
-        keep = [i for i in range(len(self.register)) if i not in dropped]
+        register, dropped, keep = _drop_plan(self.register, tuple(modes))
 
         def reduce(kets: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
             levels = {tuple(occ[i] for i in dropped) for occ in kets}
@@ -304,8 +346,18 @@ class FockState:
                 )
             return {tuple(occ[i] for i in keep): amp for occ, amp in kets.items()}
 
-        names = tuple(self.register.names[i] for i in keep)
-        return ModeRegister(names, self.register.cutoff), reduce
+        return register, reduce
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _drop_plan(register: ModeRegister, modes: tuple[ModeId, ...]) -> tuple:
+    """The register without ``modes``, their slots and the kept slots."""
+    dropped = register.indices(modes)
+    if len(set(dropped)) >= len(register):
+        raise ConfigError("cannot drop every mode of a register")
+    keep = tuple(i for i in range(len(register)) if i not in dropped)
+    names = tuple(register.names[i] for i in keep)
+    return ModeRegister(names, register.cutoff), dropped, keep
 
 
 # -- constructors ------------------------------------------------------------

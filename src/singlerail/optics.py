@@ -8,11 +8,12 @@ projectively and report every herald branch with its exact probability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fock import FockState, ModeId, ModeRegister, Occupation
+from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -69,20 +70,24 @@ def _raise_out_mode(
     return out
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _splitter_plan(reg: ModeRegister, bs: BeamSplitter) -> tuple:
+    """The output register of ``bs`` on ``reg`` and its two input slots."""
+    i0 = reg.index(bs.in_modes[0])
+    i1 = reg.index(bs.in_modes[1])
+    names = list(reg.names)
+    names[i0] = bs.out_modes[0]
+    names[i1] = bs.out_modes[1]
+    return ModeRegister(tuple(names), reg.cutoff), i0, i1
+
+
 def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
     """Rewrite ``state`` in the output basis of ``bs``.
 
     The transformation is unitary, so the norm is preserved to round-off;
     total photon number is conserved term by term.
     """
-    reg = state.register
-    i0 = reg.index(bs.in_modes[0])
-    i1 = reg.index(bs.in_modes[1])
-    names = list(reg.names)
-    names[i0] = bs.out_modes[0]
-    names[i1] = bs.out_modes[1]
-    new_reg = ModeRegister(tuple(names), reg.cutoff)
-
+    new_reg, i0, i1 = _splitter_plan(state.register, bs)
     c0 = bs.coefficients(bs.in_modes[0])
     c1 = bs.coefficients(bs.in_modes[1])
     out_terms: dict[Occupation, complex] = {}
@@ -103,7 +108,7 @@ def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
             lifted[i1] = m1
             key = tuple(lifted)
             out_terms[key] = out_terms.get(key, 0j) + a
-    return FockState(new_reg, out_terms)
+    return FockState._of(new_reg, out_terms)
 
 
 @dataclass(frozen=True)
@@ -224,4 +229,4 @@ def phase_flip(state: FockState, mode: ModeId) -> FockState:
     flipped = {
         occ: (-amp if occ[i] % 2 else amp) for occ, amp in state.terms.items()
     }
-    return FockState(state.register, flipped)
+    return FockState._of(state.register, flipped)

@@ -87,7 +87,7 @@ class SingleRailPair:
         if self.alpha < 0.0:
             raise ContractError("alpha must be non-negative in canonical form")
         residual = abs(self.alpha**2 + abs(self.beta) ** 2 - 1.0)
-        if residual > 1e-9:
+        if not residual <= 1e-9:  # NaN-safe
             raise ContractError(
                 f"pair coefficients are not normalized (off by {residual:.3g})"
             )
@@ -104,8 +104,8 @@ class SingleRailPair:
         coeff_a = complex(coeff_a)
         coeff_b = complex(coeff_b)
         norm = math.sqrt(abs(coeff_a) ** 2 + abs(coeff_b) ** 2)
-        if norm < 1e-12:
-            raise DegenerateStateError("pair coefficients are numerically zero")
+        if not norm >= 1e-12:  # NaN-safe
+            raise DegenerateStateError(f"pair coefficients have norm {norm!r}")
         if abs(coeff_a) > 0.0:
             rotation = cmath.exp(-1j * cmath.phase(coeff_a))
         else:
@@ -131,11 +131,11 @@ class SingleRailPair:
         return cmath.phase(self.beta)
 
     def with_modes(self, mode_a: ModeId, mode_b: ModeId) -> "SingleRailPair":
-        return replace(self, mode_a=mode_a, mode_b=mode_b)
+        return type(self)(self.alpha, self.beta, mode_a, mode_b)
 
     def to_state(self) -> FockState:
-        reg = ModeRegister((self.mode_a, self.mode_b))
-        return FockState(reg, {(1, 0): complex(self.alpha), (0, 1): self.beta})
+        amps = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
+        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), amps)
 
     def close_to(self, other: "SingleRailPair") -> bool:
         return (

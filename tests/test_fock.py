@@ -38,6 +38,16 @@ class TestModeRegister:
         with pytest.raises(ConfigError):
             ModeRegister(("a",), cutoff=0)
 
+    def test_cutoff_must_be_an_integer(self):
+        with pytest.raises(ConfigError):
+            ModeRegister(("a",), cutoff=1.9)
+        with pytest.raises(ConfigError):
+            ModeRegister(("a",), cutoff=True)
+        assert ModeRegister(("a",), cutoff=np.int64(3)).cutoff == 3
+
+    def test_hash_follows_equality(self):
+        assert hash(ModeRegister(("a", "b"))) == hash(ModeRegister(["a", "b"], 2))
+
     def test_unknown_mode(self):
         reg = ModeRegister(("a", "b"))
         with pytest.raises(RegisterError):
@@ -80,6 +90,37 @@ class TestFockStateConstruction:
         with pytest.raises(ConfigError):
             FockState(reg, {(1,): float("nan")})
 
+    def test_fractional_occupation_rejected(self):
+        reg = ModeRegister(("a", "b"))
+        with pytest.raises(ConfigError):
+            FockState(reg, {(0.6, 1.9): 1.0})
+
+    def test_bool_occupation_rejected(self):
+        reg = ModeRegister(("a", "b"))
+        with pytest.raises(ConfigError):
+            FockState(reg, {(True, False): 1.0})
+
+    def test_keys_naming_one_occupation_rejected(self):
+        # Python's dict already merges (1, 0) and (1.0, 0.0), which hash
+        # alike; keys that differ but cast to one occupation reach the
+        # constructor and must not overwrite each other silently
+        class Level:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        reg = ModeRegister(("a", "b"))
+        with pytest.raises(ConfigError):
+            FockState(reg, {(1, 0): 1.0, (Level(1), 0): 2.0})
+
+    def test_numpy_integer_occupations_are_read_as_int(self):
+        reg = ModeRegister(("a", "b"))
+        s = FockState(reg, {(np.int64(1), np.int32(0)): 1.0})
+        (occ,) = s.terms
+        assert occ == (1, 0) and all(type(n) is int for n in occ)
+
     def test_keeps_every_nonzero_amplitude(self):
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(1, 0): 1.0, (0, 1): 1e-16, (0, 0): 5e-324})
@@ -94,6 +135,31 @@ class TestFockStateConstruction:
         assert vacuum(reg).amplitude((0, 0)) == 1
         assert single_photon(reg, "b").amplitude((0, 1)) == 1
         assert basis_state(reg, (1, 1)).amplitude((1, 1)) == 1
+
+
+class TestAmplitudeLimit:
+    """|amplitude| past sqrt(float max) overflows its square: a ConfigError."""
+
+    def test_norm_and_normalize(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1e200})
+        with pytest.raises(ConfigError, match="1.34e154"):
+            s.norm_sq()
+        with pytest.raises(ConfigError, match="1.34e154"):
+            s.normalize()
+
+    def test_sum_past_float_max(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1e154, (0, 1): 1.3e154})
+        with pytest.raises(ConfigError):
+            s.norm()
+
+    def test_partition(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1e200, (0, 1): 1e-200})
+        with pytest.raises(ConfigError):
+            s.partition(lambda occ: occ[0])
+
+    def test_below_the_limit(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1e154})
+        assert s.normalize().amplitude((1, 0)) == 1.0
 
 
 class TestLadder:

@@ -240,6 +240,14 @@ class TestDetection:
                 assert o.post_state.serialize() == reduced.serialize()
 
 
+def test_readouts_past_the_amplitude_limit_are_config_errors():
+    s = FockState(ModeRegister(("a", "b")), {(1, 0): 1e200, (0, 1): 1e-200})
+    with pytest.raises(ConfigError):
+        detect_single_photon(s, ("a",))
+    with pytest.raises(ConfigError):
+        qnd_measure(s, QndConfig(("b",), math.pi))
+
+
 class TestPhaseFlip:
     def test_flips_odd_occupancy_only(self):
         reg = ModeRegister(("a", "b"))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from singlerail import (
     ConfigError,
     ContractError,
+    DegenerateStateError,
     ModeRegister,
     ParameterWarning,
     RegisterError,
@@ -89,6 +90,25 @@ class TestSingleRailPair:
             SingleRailPair(alpha=1.0, beta=1.0)
         with pytest.raises(RegisterError):
             SingleRailPair(alpha=1.0, beta=0.0, mode_a="a", mode_b="a")
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(math.nan, 0j), (1.0, complex(math.nan, 0.0)), (math.nan, math.nan)]
+    )
+    def test_nan_coefficients_rejected(self, alpha, beta):
+        with pytest.raises(ContractError):
+            SingleRailPair(alpha, beta)
+
+    @pytest.mark.parametrize(
+        "coeffs, error",
+        [
+            ((math.nan, 1.0), DegenerateStateError),
+            ((1.0, math.nan), DegenerateStateError),
+            ((math.inf, 1.0), ContractError),
+        ],
+    )
+    def test_from_coefficients_rejects_non_finite(self, coeffs, error):
+        with pytest.raises(error):
+            SingleRailPair.from_coefficients(*coeffs)
 
     def test_to_state_round_trip(self):
         pair = make_pair(0.7, theta=1.3)

@@ -1,0 +1,125 @@
+"""Operation results skip re-validation: they must equal validated ones.
+
+``FockState(register, terms)`` validates public input.  The operations
+of ``fock`` and ``optics`` build their results through the trusted
+``FockState._of``, which only rejects non-finite amplitudes and drops
+exact zeros.  Rebuilding any result through the validating constructor
+must give the same bytes, and the checks ``_of`` keeps must still fire.
+Structural plans are cached with a bound, which must hold.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singlerail import (
+    BeamSplitter,
+    CapacityError,
+    ConfigError,
+    DegenerateStateError,
+    FockState,
+    ModeRegister,
+    QndConfig,
+    apply_beam_splitter,
+    basis_state,
+    detect_single_photon,
+    phase_flip,
+    qnd_measure,
+)
+from singlerail.fock import PLAN_CACHE_SIZE, _drop_plan
+from singlerail.optics import _splitter_plan
+from conftest import random_state
+
+REG = ModeRegister(("m0", "m1", "m2", "m3"))
+#: scales applied to a normalized random state: none, unnormalized,
+#: subnormal amplitudes (their squares underflow to 0), and the smallest
+#: subnormal, where products and interference underflow to exact zeros
+SCALES = (1.0, 37.5, 3e-310, 5e-324)
+
+
+def _exact(state: FockState) -> str:
+    """``serialize()`` in a form that also tells -0.0 from 0.0."""
+    return repr(state.serialize())
+
+
+def _results(s: FockState):
+    """Every operation result on ``s`` that goes through ``_of``."""
+    yield apply_beam_splitter(s, BeamSplitter(("m0", "m1"), ("o0", "o1"), "m1"))
+    yield apply_beam_splitter(s, BeamSplitter(("m1", "m3"), ("m1", "m3"), "m1"))
+    yield phase_flip(s, "m0")
+    yield s.relabel({"m0": "x", "m2": "y"})
+    yield s.align_to(ModeRegister(("m3", "m1", "m0", "m2")))
+    spectator = FockState(ModeRegister(("z",), cutoff=3), {(0,): 0.6 - 0.8j, (1,): 0.5j})
+    yield s.tensor(spectator)
+    yield s.tensor(basis_state(ModeRegister(("z",)), (0,))).without_modes(("z",))
+    try:
+        yield s.normalize()
+    except DegenerateStateError:
+        pass  # the subnormal variant has a zero norm
+    for outcome in qnd_measure(s, QndConfig(("m2",), math.pi)):
+        yield outcome.post_state
+    for outcome in qnd_measure(s, QndConfig(("m0", "m3"), 0.7)):
+        yield outcome.post_state
+    for outcome in detect_single_photon(s, ("m0", "m1")):
+        yield outcome.post_state
+
+
+class TestTrustedPathChangesNothing:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(SCALES))
+    def test_results_rebuild_to_the_same_bytes(self, seed, scale):
+        s = random_state(np.random.default_rng(seed), REG)
+        s = FockState(REG, {occ: a * scale for occ, a in s.terms.items()})
+        for out in _results(s):
+            assert _exact(FockState(out.register, out.terms)) == _exact(out)
+            assert all(type(n) is int for occ in out.terms for n in occ)
+            assert all(type(a) is complex and a for a in out.terms.values())
+
+    def test_tensor_past_the_cutoff_raises(self):
+        one = basis_state(ModeRegister(("a",), cutoff=1), (1,))
+        with pytest.raises(CapacityError):
+            one.tensor(basis_state(ModeRegister(("b",), cutoff=1), (1,)))
+
+    def test_beam_splitter_overflow_is_non_finite(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1.7e308, (0, 1): 1.7e308})
+        with pytest.raises(ConfigError, match="non-finite"):
+            apply_beam_splitter(s, BeamSplitter(("a", "b"), ("c", "d"), "b"))
+
+    def test_hong_ou_mandel_ket_is_dropped_exactly(self):
+        s = basis_state(ModeRegister(("a", "b")), (1, 1))
+        out = apply_beam_splitter(s, BeamSplitter(("a", "b"), ("c", "d"), "b"))
+        assert set(out.terms) == {(2, 0), (0, 2)}
+
+    def test_trusted_constructor_keeps_its_two_checks(self):
+        reg = ModeRegister(("a", "b"))
+        s = FockState._of(reg, {(1, 0): 0.6 + 0j, (0, 1): 0j, (0, 0): -0.0 + 0j})
+        assert s.terms == {(1, 0): 0.6 + 0j}
+        with pytest.raises(ConfigError):
+            FockState._of(reg, {(1, 0): complex(math.inf, 0.0)})
+        with pytest.raises(ConfigError):
+            FockState._of(reg, {(1, 0): complex(0.0, math.nan)})
+
+
+class TestPlanCachesAreBounded:
+    def test_more_registers_than_the_bound(self):
+        assert _drop_plan.cache_info().maxsize == PLAN_CACHE_SIZE
+        assert _splitter_plan.cache_info().maxsize == PLAN_CACHE_SIZE
+        results = set()
+        for _sweep in range(2):  # the second sweep recomputes evicted plans
+            for k in range(PLAN_CACHE_SIZE + 40):
+                reg = ModeRegister((f"a{k}", f"b{k}", "c"))
+                bs = BeamSplitter((f"a{k}", f"b{k}"), ("x", "y"), f"b{k}")
+                s = FockState(reg, {(1, 0, 0): 0.6, (0, 1, 0): 0.8j})
+                out = apply_beam_splitter(s, bs)
+                kept = out.without_modes(("c",))
+                assert _splitter_plan(reg, bs) == _splitter_plan.__wrapped__(reg, bs)
+                plan = _drop_plan(out.register, ("c",))
+                assert plan == _drop_plan.__wrapped__(out.register, ("c",))
+                assert _drop_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+                assert _splitter_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+                assert kept.register.names == ("x", "y")
+                results.add((_exact(out), _exact(kept)))
+        assert len(results) == 1  # same amplitudes whatever the mode names
