@@ -36,7 +36,7 @@ from .errors import CapacityError, ConfigError, DegenerateStateError, RegisterEr
 NORM_TOL = 1e-12
 #: total photon number allowed in a register unless configured otherwise
 DEFAULT_CUTOFF = 2
-#: entries per structural-plan cache; a run touches a handful of registers
+#: entries per plan cache; a swap chain or a sweep reuses one register per cache
 PLAN_CACHE_SIZE = 128
 
 #: modes are addressed by name; the register maps names to vector slots
@@ -47,12 +47,9 @@ Occupation = tuple[int, ...]
 
 def _count(value: object, what: str) -> int:
     """An exact integer read through ``operator.index``; bools are refused."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _weight(amps: Iterable[complex]) -> float:
@@ -61,6 +58,15 @@ def _weight(amps: Iterable[complex]) -> float:
         return math.fsum(abs(a) ** 2 for a in amps)
     except OverflowError:
         raise ConfigError("|amplitude| past ~1.34e154: its square overflows") from None
+
+
+def _kept(terms: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
+    """``terms`` without exact zeros; a non-finite amplitude is a ``ConfigError``."""
+    kept = {occ: amp for occ, amp in terms.items() if amp}
+    if not all(map(cmath.isfinite, kept.values())):
+        occ, amp = next((o, a) for o, a in kept.items() if not cmath.isfinite(a))
+        raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
+    return kept
 
 
 class ModeRegister:
@@ -155,18 +161,13 @@ class FockState:
                 raise ConfigError(f"two keys name occupation {occ!r}")
             checked[occ] = complex(amp)
         self.register = register
-        self.terms = FockState._of(register, checked).terms
+        self.terms = _kept(checked)
 
     @classmethod
     def _of(cls, register: ModeRegister, terms: Mapping[Occupation, complex]):
-        """Trusted constructor for operation results: the occupations are
-        taken as valid, non-finite amplitudes raise, exact zeros drop."""
+        """Trusted constructor for operation results: occupations unchecked."""
         state = object.__new__(cls)
-        state.register = register
-        state.terms = kept = {occ: amp for occ, amp in terms.items() if amp}
-        if not all(map(cmath.isfinite, kept.values())):
-            occ, amp = next((o, a) for o, a in kept.items() if not cmath.isfinite(a))
-            raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
+        state.register, state.terms = register, _kept(terms)
         return state
 
     # -- elementary queries ------------------------------------------------
@@ -219,9 +220,7 @@ class FockState:
         n = self.norm()
         if n < NORM_TOL:
             raise DegenerateStateError("cannot normalize a (numerically) zero vector")
-        return FockState._of(
-            self.register, {occ: amp / n for occ, amp in self.terms.items()}
-        )
+        return FockState._of(self.register, {o: a / n for o, a in self.terms.items()})
 
     def tensor(self, other: "FockState") -> "FockState":
         """Product state on the concatenated register.
@@ -292,7 +291,8 @@ class FockState:
         out = {
             tuple(occ[p] for p in perm): amp for occ, amp in self.terms.items()
         }
-        return FockState._of(register, out)
+        trusted = register.cutoff >= self.register.cutoff  # a lower one may not hold
+        return (FockState._of if trusted else FockState)(register, out)
 
     def overlap(self, other: "FockState") -> complex:
         """Inner product <other|self>; registers must hold the same modes."""

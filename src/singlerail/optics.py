@@ -38,6 +38,9 @@ class BeamSplitter:
     minus_input: ModeId
 
     def __post_init__(self):
+        # stored as tuples: the splitter keys a cached plan, so it must hash
+        object.__setattr__(self, "in_modes", tuple(self.in_modes))
+        object.__setattr__(self, "out_modes", tuple(self.out_modes))
         if len(self.in_modes) != 2 or self.in_modes[0] == self.in_modes[1]:
             raise ConfigError(f"need two distinct input modes, got {self.in_modes!r}")
         if len(self.out_modes) != 2 or self.out_modes[0] == self.out_modes[1]:

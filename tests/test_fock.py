@@ -267,6 +267,13 @@ class TestRegisterSurgery:
         t = s.align_to(ModeRegister(("b", "a")))
         assert t.amplitude((0, 1)) == 1.0
 
+    def test_align_to_a_lower_cutoff_checks_it(self):
+        s = FockState(ModeRegister(("a", "b"), cutoff=3), {(2, 0): 0.6, (0, 1): 0.8})
+        with pytest.raises(CapacityError):
+            s.align_to(ModeRegister(("b", "a"), cutoff=1))
+        t = s.align_to(ModeRegister(("b", "a"), cutoff=2))
+        assert t.register.cutoff == 2 and t.amplitude((0, 2)) == 0.6
+
     def test_align_to_requires_same_names(self):
         s = vacuum(ModeRegister(("a", "b")))
         with pytest.raises(RegisterError):

@@ -33,6 +33,12 @@ class TestBeamSplitterConstruction:
         with pytest.raises(ConfigError):
             BeamSplitter(("a", "b"), ("c", "c"), minus_input="a")
 
+    def test_list_modes_are_stored_as_tuples(self):
+        bs = BeamSplitter(["a", "b"], ["c", "d"], "b")
+        assert bs == BeamSplitter(("a", "b"), ("c", "d"), "b")
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 0.6, (0, 1): 0.8})
+        assert apply_beam_splitter(s, bs).register.names == ("c", "d")
+
     def test_coefficients(self):
         bs = BeamSplitter(("a", "b"), ("c", "d"), minus_input="b")
         assert bs.coefficients("a") == (pytest.approx(INV_SQRT2), pytest.approx(INV_SQRT2))
