@@ -53,6 +53,10 @@ _SAMPLING_COMMANDS = ("generate", "concentrate")
 #: overflow numpy's samplers or run for hours
 MAX_TRIALS = 2**30
 
+#: swap-chain depth cap: every swap adds a table row and takes about
+#: 0.1 ms, so 10**5 swaps take about 10 s per alpha_sq point
+MAX_SWAP_DEPTH = 10**5
+
 
 @dataclass
 class RunConfig:
@@ -154,7 +158,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         # the exact oracle enumerates at most this many rounds
         cfg.rounds = _as_int(merged["rounds"], "rounds", 1, MAX_ORACLE_ROUNDS)
     if "swap_depth" in merged:
-        cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1)
+        cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1, MAX_SWAP_DEPTH)
     if "trials" in merged:
         cfg.trials = _as_int(merged["trials"], "trials", 0, MAX_TRIALS)
     if "seed" in merged:

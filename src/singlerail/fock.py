@@ -228,11 +228,8 @@ class FockState:
         Mode names must be disjoint; the combined cutoff is the larger of
         the two operands' cutoffs.
         """
-        overlap = set(self.register.names) & set(other.register.names)
-        if overlap:
-            raise RegisterError(f"tensor operands share mode names {sorted(overlap)!r}")
-        cutoff = max(self.register.cutoff, other.register.cutoff)
-        reg = ModeRegister(self.register.names + other.register.names, cutoff)
+        reg = _joint_register(self.register, other.register)
+        cutoff = reg.cutoff
         out: dict[Occupation, complex] = {}
         for occ_l, amp_l in self.terms.items():
             for occ_r, amp_r in other.terms.items():
@@ -252,18 +249,26 @@ class FockState:
         Returns ``{key: (probability, renormalized state)}`` in order of
         first appearance; zero-probability groups are left out, since
         impossible outcomes are data, not errors.  The modes in ``drop``,
-        whose occupation the key must fix, leave every post-state.
+        whose occupation the key must fix, leave every post-state: each
+        ket is reduced as it is grouped, and a ket whose dropped level
+        differs from its group's first raises ``RegisterError``.
         """
-        groups: dict[Hashable, dict[Occupation, complex]] = {}
+        register, level, kept = _readout_plan(self.register, tuple(drop))
+        groups: dict[Hashable, tuple[Occupation, dict[Occupation, complex]]] = {}
         for occ, amp in self.terms.items():
-            groups.setdefault(key(occ), {})[occ] = amp
-        register, reduce = self._dropping(drop) if drop else (self.register, dict)
+            k = key(occ)
+            group = groups.get(k)
+            if group is None:
+                group = groups[k] = (level(occ), {})
+            elif level(occ) != group[0]:
+                raise _entangled({group[0], level(occ)})
+            group[1][kept(occ)] = amp
         out: dict[Hashable, tuple[float, FockState]] = {}
-        for k, kets in groups.items():
+        for k, (_, kets) in groups.items():
             prob = _weight(kets.values())
             if prob > 0.0:
                 scale = 1.0 / math.sqrt(prob)
-                post = {occ: a * scale for occ, a in reduce(kets).items()}
+                post = {occ: a * scale for occ, a in kets.items()}
                 out[k] = prob, FockState._of(register, post)
         return out
 
@@ -329,24 +334,44 @@ class FockState:
         Used after a projective measurement left those modes in a product
         state; amplitudes carry over unchanged.
         """
-        register, reduce = self._dropping(modes)
-        return FockState._of(register, reduce(self.terms))
+        register, level, kept = _readout_plan(self.register, tuple(modes))
+        levels = set(map(level, self.terms))
+        if len(levels) > 1:
+            raise _entangled(levels)
+        return FockState._of(register, {kept(o): a for o, a in self.terms.items()})
 
-    def _dropping(self, modes: Iterable[ModeId]) -> tuple[ModeRegister, Callable]:
-        """The register without ``modes`` and the map of kets onto it, which
-        raises ``RegisterError`` unless the kets agree on those modes."""
-        register, dropped, keep = _drop_plan(self.register, tuple(modes))
 
-        def reduce(kets: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
-            levels = {tuple(occ[i] for i in dropped) for occ in kets}
-            if len(levels) > 1:
-                raise RegisterError(
-                    "modes are entangled with the rest of the register; "
-                    f"occupations seen: {sorted(levels)!r}"
-                )
-            return {tuple(occ[i] for i in keep): amp for occ, amp in kets.items()}
+def _entangled(levels: set[Occupation]) -> RegisterError:
+    return RegisterError(
+        "modes are entangled with the rest of the register; "
+        f"occupations seen: {sorted(levels)!r}"
+    )
 
-        return register, reduce
+
+def _slots(idxs: tuple[int, ...]) -> Callable[[Occupation], Occupation]:
+    """C-level getter of the slots ``idxs`` of an occupation, always a
+    tuple; a contiguous run (one slot, or none) is read as a slice."""
+    start = idxs[0] if idxs else 0
+    if idxs == tuple(range(start, start + len(idxs))):
+        return operator.itemgetter(slice(start, start + len(idxs)))
+    return operator.itemgetter(*idxs)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _joint_register(left: ModeRegister, right: ModeRegister) -> ModeRegister:
+    """The register of ``left`` tensor ``right``: joined names, larger cutoff."""
+    overlap = set(left.names) & set(right.names)
+    if overlap:
+        raise RegisterError(f"tensor operands share mode names {sorted(overlap)!r}")
+    return ModeRegister(left.names + right.names, max(left.cutoff, right.cutoff))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _readout_plan(register: ModeRegister, drop: tuple[ModeId, ...]) -> tuple:
+    """The register without ``drop`` (``register`` itself when nothing is
+    dropped) and slot getters of the dropped and of the kept modes."""
+    out, dropped, keep = _drop_plan(register, drop)
+    return (out if drop else register), _slots(dropped), _slots(keep)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
+from .fock import _readout_plan, _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -164,10 +165,10 @@ def qnd_measure(state: FockState, config: QndConfig) -> list[QndOutcome]:
     Nondemolition: the post-states keep their photons.  One outcome per
     class with nonzero probability; probabilities sum to one.
     """
-    idxs = state.register.indices(config.monitored)
+    monitored = _slots(state.register.indices(config.monitored))
     classes = config.outcome_classes(state.register.cutoff)
     class_of = {n: cls for cls in classes for n in cls}
-    seen = state.partition(lambda occ: class_of[sum(occ[i] for i in idxs)])
+    seen = state.partition(lambda occ: class_of[sum(monitored(occ))])
     return [QndOutcome(cls, *seen[cls]) for cls in classes if cls in seen]
 
 
@@ -207,15 +208,12 @@ def detect_single_photon(
     det = tuple(detector_modes)
     if len(set(det)) != len(det) or not det:
         raise ConfigError(f"detector modes must be distinct and nonempty: {det!r}")
-    idxs = state.register.indices(det)
-    seen = state.partition(lambda occ: tuple(occ[i] for i in idxs), drop=det)
-
-    ordered = [tuple(int(j == k) for j in range(len(det))) for k in range(len(det))]
-    ordered.append((0,) * len(det))
-    ordered.extend(sorted(p for p in seen if sum(p) >= 2))
+    _, pattern_of, _ = _readout_plan(state.register, det)
+    seen = state.partition(pattern_of, drop=det)
+    multi = sorted(p for p in seen if sum(p) >= 2)
 
     outcomes = []
-    for pattern in ordered:
+    for pattern in (*_click_patterns(len(det)), *multi):
         if pattern not in seen:
             continue
         total = sum(pattern)
@@ -224,6 +222,14 @@ def detect_single_photon(
             DetectionOutcome(fired, pattern, *seen[pattern], flagged=total >= 2)
         )
     return outcomes
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _click_patterns(n: int) -> tuple[Occupation, ...]:
+    """The single-click patterns of ``n`` detectors in detector order, then
+    the no-click pattern."""
+    singles = tuple(tuple(int(j == k) for j in range(n)) for k in range(n))
+    return (*singles, (0,) * n)
 
 
 def phase_flip(state: FockState, mode: ModeId) -> FockState:

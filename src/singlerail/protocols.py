@@ -18,6 +18,7 @@ herald records (see ``herald_action``).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -32,7 +33,7 @@ from .errors import (
     ParameterWarning,
     RegisterError,
 )
-from .fock import FockState, ModeId, ModeRegister
+from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
 from .optics import (
     BeamSplitter,
     apply_beam_splitter,
@@ -67,6 +68,10 @@ class SourceParams:
                 raise ConfigError(f"{name} must lie in (0, 1), got {p!r}")
 
 
+def _past_float_max() -> ConfigError:
+    return ConfigError("pair coefficients past ~1.34e154: their squares overflow")
+
+
 @dataclass(frozen=True)
 class SingleRailPair:
     """One photon delocalized over two modes: alpha|1,0> + beta|0,1>.
@@ -86,7 +91,10 @@ class SingleRailPair:
             raise RegisterError(f"pair modes must differ, got {self.mode_a!r} twice")
         if self.alpha < 0.0:
             raise ContractError("alpha must be non-negative in canonical form")
-        residual = abs(self.alpha**2 + abs(self.beta) ** 2 - 1.0)
+        try:
+            residual = abs(self.alpha**2 + abs(self.beta) ** 2 - 1.0)
+        except OverflowError:
+            raise _past_float_max() from None
         if not residual <= 1e-9:  # NaN-safe
             raise ContractError(
                 f"pair coefficients are not normalized (off by {residual:.3g})"
@@ -103,7 +111,12 @@ class SingleRailPair:
         """Normalize and rotate raw coefficients into canonical form."""
         coeff_a = complex(coeff_a)
         coeff_b = complex(coeff_b)
-        norm = math.sqrt(abs(coeff_a) ** 2 + abs(coeff_b) ** 2)
+        try:
+            norm = math.sqrt(abs(coeff_a) ** 2 + abs(coeff_b) ** 2)
+        except OverflowError:
+            norm = math.inf
+        if norm == math.inf and cmath.isfinite(coeff_a) and cmath.isfinite(coeff_b):
+            raise _past_float_max()
         if not norm >= 1e-12:  # NaN-safe
             raise DegenerateStateError(f"pair coefficients have norm {norm!r}")
         if abs(coeff_a) > 0.0:
@@ -135,13 +148,18 @@ class SingleRailPair:
 
     def to_state(self) -> FockState:
         amps = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
-        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), amps)
+        return FockState._of(_pair_register(self.mode_a, self.mode_b), amps)
 
     def close_to(self, other: "SingleRailPair") -> bool:
         return (
             abs(self.alpha - other.alpha) <= 1e-9
             and abs(self.beta - other.beta) <= 1e-9
         )
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pair_register(mode_a: ModeId, mode_b: ModeId) -> ModeRegister:
+    return ModeRegister((mode_a, mode_b))
 
 
 class Tag(Enum):
@@ -258,16 +276,30 @@ def _fresh_names(
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pair_kets(register: ModeRegister, mode_a: ModeId, mode_b: ModeId) -> tuple:
+    """The kets of ``register`` with one photon in ``mode_a``, in ``mode_b``."""
+    slots = register.indices((mode_a, mode_b))
+    return tuple(tuple(int(i == j) for i in range(len(register))) for j in slots)
+
+
 def _pair_from_state(
     state: FockState, mode_a: ModeId, mode_b: ModeId
 ) -> SingleRailPair:
-    width = len(state.register)
-    ia, ib = state.register.index(mode_a), state.register.index(mode_b)
-    occ_a = tuple(1 if i == ia else 0 for i in range(width))
-    occ_b = tuple(1 if i == ib else 0 for i in range(width))
+    occ_a, occ_b = _pair_kets(state.register, mode_a, mode_b)
     return SingleRailPair.from_coefficients(
         state.amplitude(occ_a), state.amplitude(occ_b), mode_a, mode_b
     )
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _swap_station(modes: tuple[ModeId, ...]) -> tuple[tuple[str, ...], BeamSplitter]:
+    """Detector names and beam splitter of a swap over modes (a, b, c, d):
+    b and c meet, c on the minus input."""
+    if len(set(modes)) != 4:
+        raise RegisterError(f"swap needs four distinct modes, got {modes!r}")
+    det = _fresh_names(("D1", "D2"), modes)
+    return det, BeamSplitter((modes[1], modes[2]), det, minus_input=modes[2])
 
 
 def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResult]:
@@ -282,16 +314,10 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     are failures; all four branches are returned and their probabilities
     sum to one.
     """
-    modes = (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
-    if len(set(modes)) != 4:
-        raise RegisterError(f"swap needs four distinct modes, got {modes!r}")
-    joint = pair_ab.to_state().tensor(pair_cd.to_state())
-    det = _fresh_names(("D1", "D2"), modes)
-    station = BeamSplitter(
-        in_modes=(pair_ab.mode_b, pair_cd.mode_a),
-        out_modes=det,
-        minus_input=pair_cd.mode_a,
+    det, station = _swap_station(
+        (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
+    joint = pair_ab.to_state().tensor(pair_cd.to_state())
     mixed = apply_beam_splitter(joint, station)
 
     results = []

@@ -5,13 +5,14 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import singlerail
-from singlerail.cli import fmt, main
+from singlerail.cli import MAX_SWAP_DEPTH, fmt, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -114,6 +115,16 @@ class TestConfigHandling:
         assert code == 1
         assert out == ""
         assert "config error" in err and "trials" in err
+
+    @pytest.mark.parametrize("depth", [MAX_SWAP_DEPTH + 1, 10**12])
+    def test_swap_depth_above_cap(self, tmp_path, capsys, depth):
+        cfg = write_config(tmp_path, alpha_sq=0.3, swap_depth=depth)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["swap-chain", "--config", cfg], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert "config error" in err and "swap_depth" in err
 
     @pytest.mark.parametrize(
         "command,key,value",

@@ -246,6 +246,72 @@ class TestDetection:
                 assert o.post_state.serialize() == reduced.serialize()
 
 
+def reference_readout(state, key, dropped=()):
+    """The readout written out ket by ket, independent of ``partition``:
+    group, weigh each group with ``math.fsum``, renormalize, drop slots;
+    post-state terms in the order their kets come."""
+    groups = {}
+    for occ, amp in state.terms.items():
+        groups.setdefault(key(occ), {})[occ] = amp
+    out = {}
+    for k, kets in groups.items():
+        prob = math.fsum(abs(a) ** 2 for a in kets.values())
+        if prob > 0.0:
+            scale = 1.0 / math.sqrt(prob)
+            out[k] = prob, [
+                (tuple(n for i, n in enumerate(occ) if i not in dropped), a * scale)
+                for occ, a in kets.items()
+            ]
+    return out
+
+
+def exact_terms(state):
+    return list(state.terms.items())  # in insertion order
+
+
+class TestReadoutsMatchTheKetByKetReference:
+    """Bit for bit, including -0.0, against ``reference_readout``."""
+
+    @pytest.mark.parametrize(
+        "det", [("a",), ("c",), ("d",), ("d", "b"), ("a", "b", "c")]
+    )
+    def test_detection(self, rng, det):
+        reg = ModeRegister(("a", "b", "c", "d"))
+        idxs = reg.indices(det)
+        for _ in range(20):
+            s = random_state(rng, reg)
+            ref = reference_readout(s, lambda occ: tuple(occ[i] for i in idxs), idxs)
+            outs = detect_single_photon(s, det)
+            assert {o.pattern for o in outs} == set(ref)
+            for o in outs:
+                assert o.post_state.register.names == tuple(
+                    n for n in reg.names if n not in det
+                )
+                assert (o.probability, repr(exact_terms(o.post_state))) == (
+                    ref[o.pattern][0],
+                    repr(ref[o.pattern][1]),
+                )
+
+    @pytest.mark.parametrize("theta", [math.pi, 1.0, 0.3, 2.0 * math.pi / 3.0])
+    @pytest.mark.parametrize("monitored", [("b",), ("d", "a"), ("a", "b", "c")])
+    def test_qnd(self, rng, theta, monitored):
+        reg = ModeRegister(("a", "b", "c", "d"))
+        idxs = reg.indices(monitored)
+        cfg = QndConfig(monitored, theta)
+        class_of = {n: cls for cls in cfg.outcome_classes(2) for n in cls}
+        for _ in range(20):
+            s = random_state(rng, reg)
+            ref = reference_readout(s, lambda occ: class_of[sum(occ[i] for i in idxs)])
+            outs = qnd_measure(s, cfg)
+            assert {o.outcome_class for o in outs} == set(ref)
+            for o in outs:
+                assert o.post_state.register == reg
+                assert (o.probability, repr(exact_terms(o.post_state))) == (
+                    ref[o.outcome_class][0],
+                    repr(ref[o.outcome_class][1]),
+                )
+
+
 def test_readouts_past_the_amplitude_limit_are_config_errors():
     s = FockState(ModeRegister(("a", "b")), {(1, 0): 1e200, (0, 1): 1e-200})
     with pytest.raises(ConfigError):

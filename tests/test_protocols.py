@@ -110,6 +110,32 @@ class TestSingleRailPair:
         with pytest.raises(error):
             SingleRailPair.from_coefficients(*coeffs)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SingleRailPair.from_coefficients(1e200, 1.0),
+            lambda: SingleRailPair.from_coefficients(0.5, complex(1e200, 1e200)),
+            lambda: SingleRailPair(1e200, 0j),
+            lambda: SingleRailPair(0.0, complex(0.0, 1e200)),
+            lambda: SingleRailPair.from_coefficients(1e154, 1e154),
+        ],
+        ids=[
+            "from_coefficients-a",
+            "from_coefficients-b",
+            "direct-alpha",
+            "direct-beta",
+            "sum-of-squares",
+        ],
+    )
+    def test_squares_past_float_max_are_config_errors(self, build):
+        with pytest.raises(ConfigError, match="1.34e154"):
+            build()
+
+    def test_largest_squarable_coefficients_still_normalize(self):
+        pair = SingleRailPair.from_coefficients(9e153, -9e153j)
+        assert pair.alpha_sq == pytest.approx(0.5)
+        assert pair.beta == pytest.approx(-1j * pair.alpha)
+
     def test_to_state_round_trip(self):
         pair = make_pair(0.7, theta=1.3)
         s = pair.to_state()

@@ -8,13 +8,16 @@ must give the same bytes, and the checks ``_of`` keeps must still fire.
 Structural plans are cached with a bound, which must hold.
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import singlerail
 from singlerail import (
     BeamSplitter,
     CapacityError,
@@ -29,7 +32,7 @@ from singlerail import (
     phase_flip,
     qnd_measure,
 )
-from singlerail.fock import PLAN_CACHE_SIZE, _drop_plan
+from singlerail.fock import PLAN_CACHE_SIZE, _drop_plan, _readout_plan
 from singlerail.optics import _splitter_plan
 from conftest import random_state
 
@@ -123,3 +126,42 @@ class TestPlanCachesAreBounded:
                 assert kept.register.names == ("x", "y")
                 results.add((_exact(out), _exact(kept)))
         assert len(results) == 1  # same amplitudes whatever the mode names
+
+    def test_readout_plans_stay_within_the_bound(self):
+        assert _readout_plan.cache_info().maxsize == PLAN_CACHE_SIZE
+        occs = ((1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1))
+        results = set()
+        for _sweep in range(2):  # the second sweep recomputes evicted plans
+            for k in range(PLAN_CACHE_SIZE + 40):
+                a, b = f"a{k}", f"b{k}"
+                reg = ModeRegister((a, "c", b))
+                s = FockState(reg, {(1, 0, 0): 0.6, (0, 0, 1): 0.8j})
+                outs = detect_single_photon(s, (b, a))
+                kept = s.without_modes(("c",))
+                assert _readout_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+                # slot getters compare by identity: compare what they read
+                for drop, levels, keeps in (
+                    (("c",), [(0,), (1,), (0,), (0,)], [(1, 0), (0, 0), (0, 2), (1, 1)]),
+                    ((b, a), [(0, 1), (0, 0), (2, 0), (1, 1)], [(0,), (1,), (0,), (0,)]),
+                ):
+                    plan, fresh = _readout_plan(reg, drop), _readout_plan.__wrapped__(reg, drop)
+                    assert plan[0] == fresh[0]
+                    assert [plan[1](o) for o in occs] == [fresh[1](o) for o in occs] == levels
+                    assert [plan[2](o) for o in occs] == [fresh[2](o) for o in occs] == keeps
+                assert kept.register.names == (a, b)
+                assert [o.post_state.register.names for o in outs] == [("c",)] * 2
+                results.add(repr([(o.pattern, o.probability, _exact(o.post_state)) for o in outs]))
+                results.add(_exact(kept))
+        assert len(results) == 2  # same amplitudes whatever the mode names
+
+
+def test_every_lru_cache_in_the_package_is_bounded():
+    caches = []
+    for info in pkgutil.iter_modules(singlerail.__path__):
+        module = importlib.import_module(f"singlerail.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches.append(name)
+                assert value.cache_info().maxsize is not None, name
+                assert value.cache_info().maxsize <= PLAN_CACHE_SIZE, name
+    assert {"_drop_plan", "_readout_plan", "_splitter_plan", "_swap_station"} <= set(caches)
