@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapacityError, ConfigError
-from .optics import QndConfig
+from .optics import _outcome_classes
 from .protocols import (
     KEEP,
     RECYCLE,
@@ -126,8 +124,8 @@ def _probe_actions(qnd_theta: float) -> set[str]:
     the probe's outcome classes for up to two monitored photons.  No
     amplitude is read.
     """
-    probe = QndConfig(monitored=("b1", "b2"), theta=qnd_theta)
-    return {herald_action(cls) for cls in probe.outcome_classes(2)}
+    classes, _ = _outcome_classes(qnd_theta, 2)
+    return {herald_action(cls) for cls in classes}
 
 
 def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> Fraction:
@@ -233,6 +231,8 @@ def monte_carlo_yield(
     """
     if trials < 1:
         raise ConfigError(f"need at least one source pair, got {trials}")
+    import numpy as np  # deferred: only a run that draws pays the import
+
     rng = np.random.default_rng(seed)
     population = trials  # surviving pairs entering the current round
     out: list[MonteCarloRound] = []

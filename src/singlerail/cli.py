@@ -21,8 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
+from decimal import MAX_EMAX, MIN_EMIN, Context
 
 from .analytics import (
     MAX_ORACLE_ROUNDS,
@@ -56,6 +55,11 @@ MAX_TRIALS = 2**30
 #: swap-chain depth cap: every swap adds a table row and takes about
 #: 0.1 ms, so 10**5 swaps take about 10 s per alpha_sq point
 MAX_SWAP_DEPTH = 10**5
+
+#: digits of the swap-chain reference: its rounding, which grows by about
+#: one unit in the last digit per swap, stays far below CLOSED_FORM_TOL
+#: at MAX_SWAP_DEPTH
+REFERENCE_DIGITS = 40
 
 
 @dataclass
@@ -240,7 +244,9 @@ def cmd_generate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     header = ["p_a", "p_b", "herald_prob", "alpha_sq", "beta_sq", "phase"]
     if cfg.trials > 0:
         header += ["herald_freq", "herald_stderr"]
-    rng = np.random.default_rng(cfg.seed)
+        import numpy as np  # deferred: only a run that draws pays the import
+
+        rng = np.random.default_rng(cfg.seed)
     rows = []
     for pa, pb in zip(p_a, p_b):
         herald, pair = generate_entanglement(SourceParams(pa, pb, cfg.theta_ab))
@@ -267,16 +273,37 @@ def _amplitude_ratio(pair: SingleRailPair) -> float:
     return lo / hi
 
 
+def _closed_form_ratios(pair: SingleRailPair, depth: int) -> list[float]:
+    """The amplitude ratio r**(n+1) after n = 1..``depth`` swaps, with r
+    the min/max ratio of the pair's float coefficients.
+
+    r and its powers are carried to ``REFERENCE_DIGITS`` digits, one
+    multiplication per swap, and each power is rounded once to a float,
+    so the reference's error does not grow with the depth the way that
+    of a float power of the rounded ratio does.  An explicit context with
+    the widest exponent range leaves the thread's ``decimal`` context
+    unread and nothing underflows.
+    """
+    ctx = Context(prec=REFERENCE_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    lo, hi = sorted(map(ctx.create_decimal_from_float, (pair.alpha, abs(pair.beta))))
+    ratio = power = ctx.divide(lo, hi)
+    out = []
+    for _ in range(depth):
+        power = ctx.multiply(power, ratio)
+        out.append(float(ctx.to_sci_string(power)))
+    return out
+
+
 def cmd_swap_chain(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     header = ["alpha_sq", "n", "alpha_sq_n", "entanglement_ratio", "closed_form_check"]
     rows = []
     failures = 0
     for x in cfg.alpha_sq:
         pair = _pair(x, cfg.theta_ab)
-        base_ratio = _amplitude_ratio(pair)
-        for n, link in enumerate(swap_chain_trace(pair, cfg.swap_depth), start=1):
+        trace = swap_chain_trace(pair, cfg.swap_depth)
+        closed_forms = _closed_form_ratios(pair, cfg.swap_depth)
+        for n, (link, closed) in enumerate(zip(trace, closed_forms), start=1):
             simulated = _amplitude_ratio(link)
-            closed = base_ratio ** (n + 1)
             ok = abs(simulated - closed) <= CLOSED_FORM_TOL * max(1.0, abs(closed))
             failures += 0 if ok else 1
             rows.append(

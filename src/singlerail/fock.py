@@ -61,8 +61,9 @@ def _weight(amps: Iterable[complex]) -> float:
 
 
 def _kept(terms: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
-    """``terms`` without exact zeros; a non-finite amplitude is a ``ConfigError``."""
-    kept = {occ: amp for occ, amp in terms.items() if amp}
+    """``terms`` without exact zeros (``terms`` itself if it holds none); a
+    non-finite amplitude is a ``ConfigError``."""
+    kept = terms if all(terms.values()) else {o: a for o, a in terms.items() if a}
     if not all(map(cmath.isfinite, kept.values())):
         occ, amp = next((o, a) for o, a in kept.items() if not cmath.isfinite(a))
         raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
@@ -165,7 +166,8 @@ class FockState:
 
     @classmethod
     def _of(cls, register: ModeRegister, terms: Mapping[Occupation, complex]):
-        """Trusted constructor for operation results: occupations unchecked."""
+        """Trusted constructor for operation results: occupations unchecked;
+        ``terms`` becomes the state's own dict when it holds no zero."""
         state = object.__new__(cls)
         state.register, state.terms = register, _kept(terms)
         return state
@@ -253,18 +255,21 @@ class FockState:
         ket is reduced as it is grouped, and a ket whose dropped level
         differs from its group's first raises ``RegisterError``.
         """
-        register, level, kept = _readout_plan(self.register, tuple(drop))
-        groups: dict[Hashable, tuple[Occupation, dict[Occupation, complex]]] = {}
-        for occ, amp in self.terms.items():
-            k = key(occ)
-            group = groups.get(k)
-            if group is None:
-                group = groups[k] = (level(occ), {})
-            elif level(occ) != group[0]:
-                raise _entangled({group[0], level(occ)})
-            group[1][kept(occ)] = amp
+        groups: dict[Hashable, dict[Occupation, complex]] = {}
+        if not drop:  # nothing to reduce: kets group as they are
+            register = self.register
+            for occ, amp in self.terms.items():
+                groups.setdefault(key(occ), {})[occ] = amp
+        else:
+            register, level, kept = _readout_plan(self.register, tuple(drop))
+            levels: dict[Hashable, Occupation] = {}
+            for occ, amp in self.terms.items():
+                k, seen = key(occ), level(occ)
+                if levels.setdefault(k, seen) != seen:
+                    raise _entangled({levels[k], seen})
+                groups.setdefault(k, {})[kept(occ)] = amp
         out: dict[Hashable, tuple[float, FockState]] = {}
-        for k, (_, kets) in groups.items():
+        for k, kets in groups.items():
             prob = _weight(kets.values())
             if prob > 0.0:
                 scale = 1.0 / math.sqrt(prob)

@@ -59,57 +59,69 @@ class BeamSplitter:
         return (_INV_SQRT2, sign * _INV_SQRT2)
 
 
-def _raise_out_mode(
-    poly: dict[tuple[int, int], complex], coeffs: tuple[float, float]
-) -> dict[tuple[int, int], complex]:
-    # one creation operator, written in the output basis, applied to a
-    # polynomial over output occupations (includes the sqrt(n+1) ladder factor)
-    cu, cv = coeffs
-    out: dict[tuple[int, int], complex] = {}
-    for (mu, mv), amp in poly.items():
-        key = (mu + 1, mv)
-        out[key] = out.get(key, 0j) + amp * cu * math.sqrt(mu + 1)
-        key = (mu, mv + 1)
-        out[key] = out.get(key, 0j) + amp * cv * math.sqrt(mv + 1)
-    return out
+def _program(n0: int, n1: int, c0: tuple, c1: tuple) -> tuple:
+    """How |n0,n1> = (x^dag)^n0 (y^dag)^n1 / sqrt(n0! n1!) |00> expands in
+    the output basis: the divisor, then one layer per creation operator
+    over the polynomial's output occupations, each term as (source key,
+    new key, coefficient, sqrt(n+1) ladder factor) in the order the
+    expansion accumulates it, then the output occupations."""
+    keys, layers = ((0, 0),), []
+    for cu, cv in (c0,) * n0 + (c1,) * n1:
+        raised: dict[tuple[int, int], int] = {}
+        ops = []
+        for src, (mu, mv) in enumerate(keys):
+            for key, c, n in (((mu + 1, mv), cu, mu), ((mu, mv + 1), cv, mv)):
+                dst = raised.setdefault(key, len(raised))
+                ops.append((src, dst, c, math.sqrt(n + 1)))
+        keys = tuple(raised)
+        layers.append((len(keys), tuple(ops)))
+    return math.sqrt(math.factorial(n0) * math.factorial(n1)), tuple(layers), keys
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _splitter_plan(reg: ModeRegister, bs: BeamSplitter) -> tuple:
-    """The output register of ``bs`` on ``reg`` and its two input slots."""
+    """The output register of ``bs`` on ``reg``, its two input slots and
+    its transfer table: the ``_program`` of every input (n0, n1) with
+    0 < n0 + n1 <= cutoff, built eagerly so that plans compare equal."""
     i0 = reg.index(bs.in_modes[0])
     i1 = reg.index(bs.in_modes[1])
     names = list(reg.names)
     names[i0] = bs.out_modes[0]
     names[i1] = bs.out_modes[1]
-    return ModeRegister(tuple(names), reg.cutoff), i0, i1
+    c0 = bs.coefficients(bs.in_modes[0])
+    c1 = bs.coefficients(bs.in_modes[1])
+    table = {
+        (n0, n1): _program(n0, n1, c0, c1)
+        for n0 in range(reg.cutoff + 1)
+        for n1 in range(reg.cutoff + 1 - n0)
+        if n0 or n1
+    }
+    return ModeRegister(tuple(names), reg.cutoff), i0, i1, table
 
 
 def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
     """Rewrite ``state`` in the output basis of ``bs``.
 
     The transformation is unitary, so the norm is preserved to round-off;
-    total photon number is conserved term by term.
+    total photon number is conserved term by term.  Each ket replays its
+    input's expansion, op by op, from the plan's transfer table.
     """
-    new_reg, i0, i1 = _splitter_plan(state.register, bs)
-    c0 = bs.coefficients(bs.in_modes[0])
-    c1 = bs.coefficients(bs.in_modes[1])
+    new_reg, i0, i1, table = _splitter_plan(state.register, bs)
     out_terms: dict[Occupation, complex] = {}
     for occ, amp in state.terms.items():
-        n0, n1 = occ[i0], occ[i1]
-        if n0 == 0 and n1 == 0:
+        program = table.get((occ[i0], occ[i1]))
+        if program is None:  # no photon meets the splitter
             out_terms[occ] = out_terms.get(occ, 0j) + amp
             continue
-        # |n0,n1> = (x^dag)^n0 (y^dag)^n1 / sqrt(n0! n1!) |00>
-        poly = {(0, 0): amp / math.sqrt(math.factorial(n0) * math.factorial(n1))}
-        for _ in range(n0):
-            poly = _raise_out_mode(poly, c0)
-        for _ in range(n1):
-            poly = _raise_out_mode(poly, c1)
-        for (m0, m1), a in poly.items():
-            lifted = list(occ)
-            lifted[i0] = m0
-            lifted[i1] = m1
+        divisor, layers, keys = program
+        poly = [amp / divisor]
+        for width, ops in layers:
+            raised = [0j] * width
+            for src, dst, c, ladder in ops:
+                raised[dst] += poly[src] * c * ladder
+            poly = raised
+        lifted = list(occ)
+        for (lifted[i0], lifted[i1]), a in zip(keys, poly):
             key = tuple(lifted)
             out_terms[key] = out_terms.get(key, 0j) + a
     return FockState._of(new_reg, out_terms)
@@ -138,16 +150,24 @@ class QndConfig:
 
     def outcome_classes(self, cutoff: int) -> list[frozenset[int]]:
         """Partition of possible counts {0..cutoff} by homodyne visibility."""
-        groups: list[tuple[float, set[int]]] = []
-        for n in range(cutoff + 1):
-            c = math.cos(n * self.theta)
-            for value, members in groups:
-                if abs(value - c) <= QND_DISTINGUISH_TOL:
-                    members.add(n)
-                    break
-            else:
-                groups.append((c, {n}))
-        return [frozenset(members) for _, members in groups]
+        return list(_outcome_classes(self.theta, cutoff)[0])
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _outcome_classes(theta: float, cutoff: int) -> tuple[tuple, tuple]:
+    """The outcome classes of a probe at ``theta`` over counts 0..cutoff,
+    and the class of each count."""
+    groups: list[tuple[float, set[int]]] = []
+    for n in range(cutoff + 1):
+        c = math.cos(n * theta)
+        for value, members in groups:
+            if abs(value - c) <= QND_DISTINGUISH_TOL:
+                members.add(n)
+                break
+        else:
+            groups.append((c, {n}))
+    classes = tuple(frozenset(members) for _, members in groups)
+    return classes, tuple(cls for n in range(cutoff + 1) for cls in classes if n in cls)
 
 
 @dataclass(frozen=True)
@@ -166,8 +186,7 @@ def qnd_measure(state: FockState, config: QndConfig) -> list[QndOutcome]:
     class with nonzero probability; probabilities sum to one.
     """
     monitored = _slots(state.register.indices(config.monitored))
-    classes = config.outcome_classes(state.register.cutoff)
-    class_of = {n: cls for cls in classes for n in cls}
+    classes, class_of = _outcome_classes(config.theta, state.register.cutoff)
     seen = state.partition(lambda occ: class_of[sum(monitored(occ))])
     return [QndOutcome(cls, *seen[cls]) for cls in classes if cls in seen]
 
@@ -206,30 +225,28 @@ def detect_single_photon(
     never merged with a single click.
     """
     det = tuple(detector_modes)
-    if len(set(det)) != len(det) or not det:
-        raise ConfigError(f"detector modes must be distinct and nonempty: {det!r}")
+    clicks = _click_patterns(det)
     _, pattern_of, _ = _readout_plan(state.register, det)
     seen = state.partition(pattern_of, drop=det)
-    multi = sorted(p for p in seen if sum(p) >= 2)
-
-    outcomes = []
-    for pattern in (*_click_patterns(len(det)), *multi):
-        if pattern not in seen:
-            continue
-        total = sum(pattern)
-        fired = det[pattern.index(1)] if total == 1 else None
-        outcomes.append(
-            DetectionOutcome(fired, pattern, *seen[pattern], flagged=total >= 2)
-        )
+    outcomes = [
+        DetectionOutcome(fired, pattern, *seen[pattern], flagged=False)
+        for pattern, fired in clicks
+        if pattern in seen
+    ]
+    for pattern in sorted(p for p in seen if sum(p) >= 2):
+        outcomes.append(DetectionOutcome(None, pattern, *seen[pattern], flagged=True))
     return outcomes
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _click_patterns(n: int) -> tuple[Occupation, ...]:
-    """The single-click patterns of ``n`` detectors in detector order, then
-    the no-click pattern."""
-    singles = tuple(tuple(int(j == k) for j in range(n)) for k in range(n))
-    return (*singles, (0,) * n)
+def _click_patterns(det: tuple[ModeId, ...]) -> tuple:
+    """The single-click patterns of detectors ``det``, each with the
+    detector that fires, in detector order, then the no-click pattern."""
+    if len(set(det)) != len(det) or not det:
+        raise ConfigError(f"detector modes must be distinct and nonempty: {det!r}")
+    n = len(det)
+    singles = tuple((tuple(int(j == k) for j in range(n)), det[k]) for k in range(n))
+    return (*singles, ((0,) * n, None))
 
 
 def phase_flip(state: FockState, mode: ModeId) -> FockState:

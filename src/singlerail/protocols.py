@@ -21,10 +21,9 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -33,7 +32,7 @@ from .errors import (
     ParameterWarning,
     RegisterError,
 )
-from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
+from .fock import DEFAULT_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
 from .optics import (
     BeamSplitter,
     apply_beam_splitter,
@@ -42,6 +41,9 @@ from .optics import (
     qnd_measure,
     QndConfig,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: tolerance for "these two pairs are copies of each other"
 PAIR_MATCH_TOL = 1e-12
@@ -148,18 +150,13 @@ class SingleRailPair:
 
     def to_state(self) -> FockState:
         amps = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
-        return FockState._of(_pair_register(self.mode_a, self.mode_b), amps)
+        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), amps)
 
     def close_to(self, other: "SingleRailPair") -> bool:
         return (
             abs(self.alpha - other.alpha) <= 1e-9
             and abs(self.beta - other.beta) <= 1e-9
         )
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pair_register(mode_a: ModeId, mode_b: ModeId) -> ModeRegister:
-    return ModeRegister((mode_a, mode_b))
 
 
 class Tag(Enum):
@@ -196,15 +193,15 @@ class ProtocolResult:
     probabilities), so each step's result list sums to one.  ``state`` is
     the raw post-measurement state; when the herald calls for a sign
     correction it is recorded, not applied, and ``corrected_state()``
-    applies it.  ``pair`` restates the corrected state as a
-    ``SingleRailPair`` when it has that shape.
+    applies it.  ``pair`` restates a success branch's corrected state,
+    which holds the two modes of the new pair, as a ``SingleRailPair``,
+    computed on first read; other branches read ``None``.
     """
 
     tag: Tag
     herald: Herald
     probability: float
     state: FockState | None
-    pair: SingleRailPair | None = None
 
     def corrected_state(self) -> FockState | None:
         """Post-state with the recorded local phase flip applied."""
@@ -213,6 +210,12 @@ class ProtocolResult:
         if not self.herald.sign_correction:
             return self.state
         return phase_flip(self.state, self.herald.correction_mode)
+
+    @functools.cached_property
+    def pair(self) -> SingleRailPair | None:
+        if self.tag is not Tag.SUCCESS:
+            return None
+        return _pair_from_state(self.corrected_state())
 
 
 def _class_label(cls: frozenset[int]) -> str:
@@ -276,30 +279,49 @@ def _fresh_names(
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pair_kets(register: ModeRegister, mode_a: ModeId, mode_b: ModeId) -> tuple:
-    """The kets of ``register`` with one photon in ``mode_a``, in ``mode_b``."""
-    slots = register.indices((mode_a, mode_b))
-    return tuple(tuple(int(i == j) for i in range(len(register))) for j in slots)
-
-
-def _pair_from_state(
-    state: FockState, mode_a: ModeId, mode_b: ModeId
-) -> SingleRailPair:
-    occ_a, occ_b = _pair_kets(state.register, mode_a, mode_b)
+def _pair_from_state(state: FockState) -> SingleRailPair:
+    """The pair on the two modes of ``state``, from its one-photon kets."""
     return SingleRailPair.from_coefficients(
-        state.amplitude(occ_a), state.amplitude(occ_b), mode_a, mode_b
+        state.amplitude((1, 0)), state.amplitude((0, 1)), *state.register.names
     )
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _swap_station(modes: tuple[ModeId, ...]) -> tuple[tuple[str, ...], BeamSplitter]:
-    """Detector names and beam splitter of a swap over modes (a, b, c, d):
-    b and c meet, c on the minus input."""
+def _station(step: str, modes: tuple[ModeId, ...]) -> tuple:
+    """The joint register and the beam splitter of ``step`` over modes
+    (a, b, c, d), built once per mode names; the splitter's outputs are
+    its detectors, the first one D1.  A swap meets b and c at D1 and D2;
+    concentration, and recycling, meet c and d (the second pair) at c2
+    and d2.  Both wire c to the minus input."""
     if len(set(modes)) != 4:
-        raise RegisterError(f"swap needs four distinct modes, got {modes!r}")
-    det = _fresh_names(("D1", "D2"), modes)
-    return det, BeamSplitter((modes[1], modes[2]), det, minus_input=modes[2])
+        raise RegisterError(f"{step} needs four distinct modes, got {modes!r}")
+    swapping = step == "swap"
+    det = _fresh_names(("D1", "D2") if swapping else ("c2", "d2"), modes)
+    meet = modes[1:3] if swapping else modes[2:]
+    return ModeRegister(modes), BeamSplitter(meet, det, minus_input=modes[2])
+
+
+def _joint(register: ModeRegister, p: SingleRailPair, q: SingleRailPair) -> FockState:
+    """``p.to_state().tensor(q.to_state())`` on ``register``."""
+    a, b, c, d = map(complex, (p.alpha, p.beta, q.alpha, q.beta))
+    kets = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+    return FockState._of(register, dict(zip(kets, (a * c, a * d, b * c, b * d))))
+
+
+def _label(station: BeamSplitter, detector: ModeId) -> str:
+    return "D1" if detector == station.out_modes[0] else "D2"
+
+
+def _single_clicks(state: FockState, station: BeamSplitter) -> list[tuple]:
+    """The station on a state that brings it one photon: (label, outcome)
+    per detector that fires."""
+    mixed = apply_beam_splitter(state, station)
+    clicks = []
+    for click in detect_single_photon(mixed, station.out_modes):
+        if click.fired is None:
+            raise ContractError(f"impossible pattern {click.pattern!r} for one photon")
+        clicks.append((_label(station, click.fired), click))
+    return clicks
 
 
 def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResult]:
@@ -314,42 +336,27 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     are failures; all four branches are returned and their probabilities
     sum to one.
     """
-    det, station = _swap_station(
-        (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
+    register, station = _station(
+        "swap", (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
-    joint = pair_ab.to_state().tensor(pair_cd.to_state())
-    mixed = apply_beam_splitter(joint, station)
+    mixed = apply_beam_splitter(_joint(register, pair_ab, pair_cd), station)
 
     results = []
-    for outcome in detect_single_photon(mixed, det):
-        if outcome.fired is not None and not outcome.flagged:
-            label = "D1" if outcome.fired == det[0] else "D2"
-            herald = Herald(
-                events=(HeraldEvent("swap-detect", label, outcome.probability),),
-                detector=label,
-            )
-            pair = _pair_from_state(
-                outcome.post_state, pair_ab.mode_a, pair_cd.mode_b
-            )
-            results.append(
-                ProtocolResult(
-                    Tag.SUCCESS, herald, outcome.probability, outcome.post_state, pair
-                )
-            )
+    for outcome in detect_single_photon(mixed, station.out_modes):
+        success = outcome.fired is not None
+        if success:
+            label = _label(station, outcome.fired)
+        elif outcome.photons_seen == 0:
+            label = "no-click"
         else:
-            label = (
-                "no-click"
-                if outcome.photons_seen == 0
-                else "multi-click:" + ",".join(map(str, outcome.pattern))
-            )
-            herald = Herald(
-                events=(HeraldEvent("swap-detect", label, outcome.probability),)
-            )
-            results.append(
-                ProtocolResult(
-                    Tag.FAILURE, herald, outcome.probability, outcome.post_state
-                )
-            )
+            label = "multi-click:" + ",".join(map(str, outcome.pattern))
+        herald = Herald(
+            events=(HeraldEvent("swap-detect", label, outcome.probability),),
+            detector=label if success else None,
+        )
+        tag = Tag.SUCCESS if success else Tag.FAILURE
+        post = outcome.post_state
+        results.append(ProtocolResult(tag, herald, outcome.probability, post))
     return results
 
 
@@ -398,6 +405,15 @@ def _check_copies(
         )
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _probe(monitored: tuple[ModeId, ModeId], qnd_theta: float) -> tuple:
+    """The QND probe of a concentration round, built once per monitored
+    modes and angle, with each outcome class's herald action and label."""
+    probe = QndConfig(monitored=monitored, theta=qnd_theta)
+    classes = probe.outcome_classes(DEFAULT_CUTOFF)
+    return probe, {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
+
+
 def concentration_round(
     pair1: SingleRailPair,
     pair2: SingleRailPair,
@@ -422,61 +438,33 @@ def concentration_round(
     Returns every branch; probabilities sum to one.
     """
     _check_copies(pair1, pair2, allow_unequal_phases)
-    modes = (pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b)
-    if len(set(modes)) != 4:
-        raise RegisterError(f"concentration needs four distinct modes, got {modes!r}")
-    joint = pair1.to_state().tensor(pair2.to_state())
-    probe = QndConfig(monitored=(pair1.mode_b, pair2.mode_b), theta=qnd_theta)
+    register, station = _station(
+        "concentration", (pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b)
+    )
+    probe, verdicts = _probe((pair1.mode_b, pair2.mode_b), qnd_theta)
+    joint = _joint(register, pair1, pair2)
 
     results = []
     for reading in qnd_measure(joint, probe):
-        action = herald_action(reading.outcome_class)
-        qnd_event = HeraldEvent(
-            "qnd", _class_label(reading.outcome_class), reading.probability
-        )
-        if action == KEEP:
-            out_c, out_d = _fresh_names(("c2", "d2"), modes)
-            splitter = BeamSplitter(
-                in_modes=(pair2.mode_a, pair2.mode_b),
-                out_modes=(out_c, out_d),
-                minus_input=pair2.mode_a,
-            )
-            mixed = apply_beam_splitter(reading.post_state, splitter)
-            for click in detect_single_photon(mixed, (out_c, out_d)):
-                if click.fired is None:
-                    # the kept class has exactly one photon on the second
-                    # pair, so a detector always fires
-                    raise ContractError(
-                        f"impossible detector pattern {click.pattern!r} in "
-                        "the kept class"
-                    )
-                label = "D1" if click.fired == out_c else "D2"
-                herald = Herald(
-                    events=(
-                        qnd_event,
-                        HeraldEvent("detector", label, click.probability),
-                    ),
-                    qnd_class=reading.outcome_class,
-                    detector=label,
-                    sign_correction=label == "D2",
-                    correction_mode=pair1.mode_b,
-                )
-                result = ProtocolResult(
-                    Tag.SUCCESS,
-                    herald,
-                    reading.probability * click.probability,
-                    click.post_state,
-                )
-                pair = _pair_from_state(
-                    result.corrected_state(), pair1.mode_a, pair1.mode_b
-                )
-                results.append(replace(result, pair=pair))
-        else:
+        action, label = verdicts[reading.outcome_class]
+        qnd_event = HeraldEvent("qnd", label, reading.probability)
+        if action != KEEP:
             tag = Tag.RECYCLABLE if action == RECYCLE else Tag.FAILURE
             herald = Herald(events=(qnd_event,), qnd_class=reading.outcome_class)
             results.append(
                 ProtocolResult(tag, herald, reading.probability, reading.post_state)
             )
+            continue
+        for label, click in _single_clicks(reading.post_state, station):
+            herald = Herald(
+                events=(qnd_event, HeraldEvent("detector", label, click.probability)),
+                qnd_class=reading.outcome_class,
+                detector=label,
+                sign_correction=label == "D2",
+                correction_mode=pair1.mode_b,
+            )
+            prob = reading.probability * click.probability
+            results.append(ProtocolResult(Tag.SUCCESS, herald, prob, click.post_state))
     return results
 
 
@@ -489,35 +477,24 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     followed by one click always succeeds and leaves the first pair's
     modes carrying coefficients proportional to
     ``(alpha^2, +/- beta^2 e^{2i theta})``.  Wired like the kept branch of
-    ``concentration_round``, the D2 branch carries the '-' sign and records
-    a phase flip on b1 for ``corrected_state()``; both branches reduce to
-    the same pair, and the D1 one is returned.
+    ``concentration_round``, the D2 branch carries the '-' sign and takes
+    the phase flip on b1 that ``corrected_state()`` applies there; both
+    branches reduce to the same pair, and the D1 one is returned.
     """
     if result.tag is not Tag.RECYCLABLE:
         raise ContractError(f"expected a recyclable branch, got {result.tag}")
     state = result.state
     if state is None or len(state.register) != 4:
         raise ContractError("recyclable branch must carry a four-mode state")
-    a1, b1, a2, b2 = state.register.names
-    out_c, out_d = _fresh_names(("c2", "d2"), state.register.names)
     # a2 feeds the difference combination and the difference lands on the
     # d-port, so the D2 (d-port) branch picks up the '-' sign
-    splitter = BeamSplitter(
-        in_modes=(a2, b2), out_modes=(out_c, out_d), minus_input=a2
-    )
-    mixed = apply_beam_splitter(state, splitter)
-
     reduced: dict[str, SingleRailPair] = {}
-    for click in detect_single_photon(mixed, (out_c, out_d)):
-        if click.fired is None:
-            raise ContractError(
-                "recyclable reduction saw an impossible detector pattern "
-                f"{click.pattern!r}"
-            )
-        label = "D1" if click.fired == out_c else "D2"
-        herald = Herald((), sign_correction=label == "D2", correction_mode=b1)
-        branch = ProtocolResult(result.tag, herald, click.probability, click.post_state)
-        reduced[label] = _pair_from_state(branch.corrected_state(), a1, b1)
+    _, station = _station("concentration", state.register.names)
+    for label, click in _single_clicks(state, station):
+        post = click.post_state
+        if label == "D2":
+            post = phase_flip(post, state.register.names[1])
+        reduced[label] = _pair_from_state(post)
     if set(reduced) != {"D1", "D2"}:
         raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
     if not reduced["D1"].close_to(reduced["D2"]):
@@ -647,6 +624,8 @@ def count_draws(
     leaves the stream unchanged: ``rng.random`` yields the same values
     whether drawn at once or in chunks.
     """
+    import numpy as np  # deferred: only a run that draws pays the import
+
     below = np.zeros(len(edges), dtype=np.int64)  # draws under each edge
     for start in range(0, trials, DRAW_CHUNK):
         draws = rng.random(min(DRAW_CHUNK, trials - start))
@@ -671,6 +650,8 @@ def run_monte_carlo(
     branches = concentration_round(
         pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
     )
+    import numpy as np  # deferred: only a run that draws pays the import
+
     probs = np.array([r.probability for r in branches], dtype=float)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:

@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +14,18 @@ import numpy as np
 import pytest
 
 import singlerail
-from singlerail.cli import MAX_SWAP_DEPTH, fmt, main
+from decimal import MAX_EMAX, MIN_EMIN, Context
+
+from singlerail.cli import (
+    CLOSED_FORM_TOL,
+    MAX_SWAP_DEPTH,
+    _amplitude_ratio,
+    _closed_form_ratios,
+    _pair,
+    fmt,
+    main,
+)
+from singlerail.protocols import swap_chain_trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -290,6 +303,54 @@ class TestSwapChain:
         assert float(rows[-1]["alpha_sq_n"]) == 1.0
 
 
+    def test_reference_is_exact_near_balance_up_to_the_depth_cap(self):
+        # the pair's own coefficient ratio to a 120-digit power, rounded
+        # once; 40 digits carried over 10**5 products round to the same float
+        ctx = Context(prec=120, Emin=MIN_EMIN, Emax=MAX_EMAX)
+        rng = random.Random(20260819)
+        near = [0.5 - 10 ** -rng.uniform(1, 9) for _ in range(3)]
+        for alpha_sq in (*near, 0.5 + 10 ** -rng.uniform(1, 9)):
+            pair = _pair(alpha_sq, 0.0)
+            got = _closed_form_ratios(pair, MAX_SWAP_DEPTH)
+            lo, hi = sorted(map(ctx.create_decimal_from_float, (pair.alpha, abs(pair.beta))))
+            ratio = ctx.divide(lo, hi)
+            assert len(got) == MAX_SWAP_DEPTH
+            for n in (1, 2, 17, 1000, 18540, 27181, 60000, MAX_SWAP_DEPTH):
+                assert got[n - 1] == float(ctx.to_sci_string(ctx.power(ratio, n + 1)))
+
+    def test_deep_near_balanced_chain_passes(self, tmp_path, capsys):
+        # a float power of the rounded base ratio drifted past
+        # CLOSED_FORM_TOL here from n = 18540 on, and the run exited 2
+        cfg = write_config(tmp_path, alpha_sq=0.499999038, swap_depth=20000)
+        code, out, err = run_cli(["swap-chain", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 20000
+        assert {r["closed_form_check"] for r in rows} == {"pass"}
+
+    @pytest.mark.parametrize(
+        "alpha_sq,theta_ab",
+        [
+            (0.49999999, 0.0),
+            pytest.param(
+                0.500000962,
+                0.3,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="with a phase the simulated ratio drifts linearly "
+                    "from the closed form, past CLOSED_FORM_TOL at n = 19874",
+                ),
+            ),
+        ],
+    )
+    def test_simulation_stays_on_the_closed_form_at_depth(self, alpha_sq, theta_ab):
+        pair = _pair(alpha_sq, theta_ab)
+        trace = swap_chain_trace(pair, 20000)
+        closed = _closed_form_ratios(pair, 20000)
+        for link, ratio in zip(trace, closed):
+            assert abs(_amplitude_ratio(link) - ratio) <= CLOSED_FORM_TOL * max(1.0, ratio)
+
+
 class TestConcentrate:
     def test_success_probability_column(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=0.8, rounds=1)
@@ -500,3 +561,29 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("alpha_sq,round,success_prob")
+
+
+def test_only_a_draw_imports_numpy(tmp_path):
+    # a fresh interpreter: importing the CLI, a swap-chain run and a yield
+    # run leave numpy unimported; a sampling concentrate run imports it
+    (tmp_path / "config.json").write_text(json.dumps({"alpha_sq": 0.8, "rounds": 2}))
+    (tmp_path / "trials.json").write_text(json.dumps({"alpha_sq": 0.8, "trials": 10}))
+    script = """
+import sys
+import singlerail.cli as cli
+seen = ["numpy" in sys.modules]
+for command, config in (("swap-chain", "config"), ("yield", "config"), ("concentrate", "trials")):
+    argv = [command, "--config", f"{config}.json", "--output", "out.csv"]
+    seen.append((cli.main(argv), "numpy" in sys.modules))
+print(seen)
+"""
+    src = pathlib.Path(singlerail.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, (0, False), (0, False), (0, True)]"

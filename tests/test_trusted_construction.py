@@ -26,14 +26,20 @@ from singlerail import (
     FockState,
     ModeRegister,
     QndConfig,
+    SingleRailPair,
+    Tag,
     apply_beam_splitter,
     basis_state,
+    concentration_round,
     detect_single_photon,
     phase_flip,
     qnd_measure,
+    recyclable_to_pair,
+    swap,
 )
 from singlerail.fock import PLAN_CACHE_SIZE, _drop_plan, _readout_plan
-from singlerail.optics import _splitter_plan
+from singlerail.optics import _click_patterns, _outcome_classes, _splitter_plan
+from singlerail.protocols import _probe, _station
 from conftest import random_state
 
 REG = ModeRegister(("m0", "m1", "m2", "m3"))
@@ -106,6 +112,80 @@ class TestTrustedPathChangesNothing:
             FockState._of(reg, {(1, 0): complex(0.0, math.nan)})
 
 
+def _raise_out_mode(poly, coeffs):
+    """One output-basis creation operator on a polynomial (reference copy)."""
+    cu, cv = coeffs
+    out = {}
+    for (mu, mv), amp in poly.items():
+        key = (mu + 1, mv)
+        out[key] = out.get(key, 0j) + amp * cu * math.sqrt(mu + 1)
+        key = (mu, mv + 1)
+        out[key] = out.get(key, 0j) + amp * cv * math.sqrt(mv + 1)
+    return out
+
+
+def polynomial_splitter(state: FockState, bs: BeamSplitter) -> FockState:
+    """The splitter as a per-ket polynomial expansion: the reference the
+    transfer table must reproduce bit for bit."""
+    reg = state.register
+    i0, i1 = reg.index(bs.in_modes[0]), reg.index(bs.in_modes[1])
+    names = list(reg.names)
+    names[i0], names[i1] = bs.out_modes
+    c0, c1 = bs.coefficients(bs.in_modes[0]), bs.coefficients(bs.in_modes[1])
+    out_terms = {}
+    for occ, amp in state.terms.items():
+        n0, n1 = occ[i0], occ[i1]
+        if n0 == 0 and n1 == 0:
+            out_terms[occ] = out_terms.get(occ, 0j) + amp
+            continue
+        poly = {(0, 0): amp / math.sqrt(math.factorial(n0) * math.factorial(n1))}
+        for _ in range(n0):
+            poly = _raise_out_mode(poly, c0)
+        for _ in range(n1):
+            poly = _raise_out_mode(poly, c1)
+        for (m0, m1), a in poly.items():
+            lifted = list(occ)
+            lifted[i0] = m0
+            lifted[i1] = m1
+            key = tuple(lifted)
+            out_terms[key] = out_terms.get(key, 0j) + a
+    return FockState._of(ModeRegister(tuple(names), reg.cutoff), out_terms)
+
+
+class TestTransferTableIsBitExact:
+    SPLITTERS = (
+        BeamSplitter(("m0", "m1"), ("o0", "o1"), "m1"),
+        BeamSplitter(("m0", "m1"), ("o0", "o1"), "m0"),
+        BeamSplitter(("m3", "m1"), ("m3", "m1"), "m1"),
+        BeamSplitter(("m2", "m0"), ("x", "y"), "m0"),
+    )
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(SCALES),
+        st.sampled_from((2, 3)),
+    )
+    def test_same_bytes_as_the_polynomial_expansion(self, seed, scale, cutoff):
+        reg = ModeRegister(REG.names, cutoff)
+        s = random_state(np.random.default_rng(seed), reg)
+        s = FockState(reg, {occ: a * scale for occ, a in s.terms.items()})
+        for bs in self.SPLITTERS:
+            out = apply_beam_splitter(s, bs)
+            ref = polynomial_splitter(s, bs)
+            assert out.register == ref.register
+            assert _exact(out) == _exact(ref)
+            assert list(out.terms) == list(ref.terms)  # same accumulation order
+
+    @pytest.mark.parametrize("occ", [(1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 0, 1)])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_two_photon_and_signed_inputs(self, occ, scale):
+        for amp in (1.0, -1.0, 1j, complex(-0.0, 0.6), complex(0.8, -0.0)):
+            s = FockState(REG, {occ: amp * scale, (0, 0, 1, 0): -0.5j * scale})
+            for bs in self.SPLITTERS:
+                assert _exact(apply_beam_splitter(s, bs)) == _exact(polynomial_splitter(s, bs))
+
+
 class TestPlanCachesAreBounded:
     def test_more_registers_than_the_bound(self):
         assert _drop_plan.cache_info().maxsize == PLAN_CACHE_SIZE
@@ -155,6 +235,33 @@ class TestPlanCachesAreBounded:
         assert len(results) == 2  # same amplitudes whatever the mode names
 
 
+    def test_station_caches_stay_within_the_bound(self):
+        caches = (_station, _probe, _outcome_classes, _click_patterns)
+        assert all(c.cache_info().maxsize == PLAN_CACHE_SIZE for c in caches)
+        pair = SingleRailPair.from_coefficients(0.6, 0.8j)
+        results = set()
+        for _sweep in range(2):  # the second sweep recomputes evicted stations
+            for k in range(PLAN_CACHE_SIZE + 40):
+                a1, b1, a2, b2 = (f"{m}{k}" for m in ("a1", "b1", "a2", "b2"))
+                # a fresh probe per k with the parity classes of the pi probe
+                theta = math.pi * (1.0 + k * 1e-12)
+                branches = [
+                    *swap(pair.with_modes(a1, b1), pair.with_modes(a2, b2)),
+                    *concentration_round(pair.with_modes(a1, b1), pair.with_modes(a2, b2), theta),
+                ]
+                (recyclable,) = (r for r in branches if r.tag is Tag.RECYCLABLE)
+                recycled = recyclable_to_pair(recyclable)
+                assert all(c.cache_info().currsize <= PLAN_CACHE_SIZE for c in caches)
+                results.add(
+                    repr(
+                        [(r.tag, r.herald.events, _exact(r.state)) for r in branches]
+                        + [(r.pair.alpha, r.pair.beta) for r in branches if r.pair]
+                        + [(recycled.alpha, recycled.beta)]
+                    )
+                )
+        assert len(results) == 1  # same branches whatever the mode names
+
+
 def test_every_lru_cache_in_the_package_is_bounded():
     caches = []
     for info in pkgutil.iter_modules(singlerail.__path__):
@@ -164,4 +271,12 @@ def test_every_lru_cache_in_the_package_is_bounded():
                 caches.append(name)
                 assert value.cache_info().maxsize is not None, name
                 assert value.cache_info().maxsize <= PLAN_CACHE_SIZE, name
-    assert {"_drop_plan", "_readout_plan", "_splitter_plan", "_swap_station"} <= set(caches)
+    assert {
+        "_drop_plan",
+        "_readout_plan",
+        "_splitter_plan",
+        "_outcome_classes",
+        "_click_patterns",
+        "_station",
+        "_probe",
+    } <= set(caches)
