@@ -43,6 +43,7 @@ PLAN_CACHE_SIZE = 128
 ModeId = str
 
 Occupation = tuple[int, ...]
+Grouping = Callable[[Occupation], Hashable]
 
 
 def _count(value: object, what: str) -> int:
@@ -244,24 +245,25 @@ class FockState:
     # -- measurement-style operations ---------------------------------------
 
     def partition(
-        self, key: Callable[[Occupation], Hashable], drop: tuple[ModeId, ...] = ()
+        self, key: Grouping | None = None, drop: tuple[ModeId, ...] = ()
     ) -> dict[Hashable, tuple[float, "FockState"]]:
         """Group kets by ``key(occupation)`` in one pass: one readout.
 
         Returns ``{key: (probability, renormalized state)}`` in order of
         first appearance; zero-probability groups are left out, since
-        impossible outcomes are data, not errors.  The modes in ``drop``,
-        whose occupation the key must fix, leave every post-state: each
-        ket is reduced as it is grouped, and a ket whose dropped level
-        differs from its group's first raises ``RegisterError``.
+        impossible outcomes are data, not errors.  The modes in ``drop``
+        leave every post-state, each ket reduced as it is grouped.  With
+        ``key`` None the kets group by the dropped occupation (a tuple); a
+        given key must fix it, and a ket whose dropped level differs from
+        its group's first raises ``RegisterError``.
         """
         groups: dict[Hashable, dict[Occupation, complex]] = {}
-        if not drop:  # nothing to reduce: kets group as they are
-            register = self.register
+        register, level, kept = _readout_plan(self.register, tuple(drop))
+        if key is None or not drop:  # no dropped level the key could split
+            key = level if key is None else key
             for occ, amp in self.terms.items():
-                groups.setdefault(key(occ), {})[occ] = amp
+                groups.setdefault(key(occ), {})[kept(occ) if drop else occ] = amp
         else:
-            register, level, kept = _readout_plan(self.register, tuple(drop))
             levels: dict[Hashable, Occupation] = {}
             for occ, amp in self.terms.items():
                 k, seen = key(occ), level(occ)

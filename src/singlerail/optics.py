@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _readout_plan, _slots
+from .fock import _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -226,8 +226,7 @@ def detect_single_photon(
     """
     det = tuple(detector_modes)
     clicks = _click_patterns(det)
-    _, pattern_of, _ = _readout_plan(state.register, det)
-    seen = state.partition(pattern_of, drop=det)
+    seen = state.partition(drop=det)
     outcomes = [
         DetectionOutcome(fired, pattern, *seen[pattern], flagged=False)
         for pattern, fired in clicks

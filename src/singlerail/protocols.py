@@ -146,7 +146,8 @@ class SingleRailPair:
         return cmath.phase(self.beta)
 
     def with_modes(self, mode_a: ModeId, mode_b: ModeId) -> "SingleRailPair":
-        return type(self)(self.alpha, self.beta, mode_a, mode_b)
+        same = (mode_a, mode_b) == (self.mode_a, self.mode_b)
+        return self if same else type(self)(self.alpha, self.beta, mode_a, mode_b)
 
     def to_state(self) -> FockState:
         amps = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
@@ -279,11 +280,11 @@ def _fresh_names(
     return tuple(out)
 
 
-def _pair_from_state(state: FockState) -> SingleRailPair:
-    """The pair on the two modes of ``state``, from its one-photon kets."""
-    return SingleRailPair.from_coefficients(
-        state.amplitude((1, 0)), state.amplitude((0, 1)), *state.register.names
-    )
+def _pair_from_state(state: FockState, *modes: ModeId) -> SingleRailPair:
+    """The pair on the two modes of ``state`` (named ``modes`` if given),
+    from its one-photon kets."""
+    amps = state.amplitude((1, 0)), state.amplitude((0, 1))
+    return SingleRailPair.from_coefficients(*amps, *(modes or state.register.names))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -312,12 +313,16 @@ def _label(station: BeamSplitter, detector: ModeId) -> str:
     return "D1" if detector == station.out_modes[0] else "D2"
 
 
+def _readout(state: FockState, station: BeamSplitter) -> list:
+    """The station's detector outcomes on ``state``: splitter, then counting."""
+    return detect_single_photon(apply_beam_splitter(state, station), station.out_modes)
+
+
 def _single_clicks(state: FockState, station: BeamSplitter) -> list[tuple]:
     """The station on a state that brings it one photon: (label, outcome)
     per detector that fires."""
-    mixed = apply_beam_splitter(state, station)
     clicks = []
-    for click in detect_single_photon(mixed, station.out_modes):
+    for click in _readout(state, station):
         if click.fired is None:
             raise ContractError(f"impossible pattern {click.pattern!r} for one photon")
         clicks.append((_label(station, click.fired), click))
@@ -339,10 +344,8 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     register, station = _station(
         "swap", (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
-    mixed = apply_beam_splitter(_joint(register, pair_ab, pair_cd), station)
-
     results = []
-    for outcome in detect_single_photon(mixed, station.out_modes):
+    for outcome in _readout(_joint(register, pair_ab, pair_cd), station):
         success = outcome.fired is not None
         if success:
             label = _label(station, outcome.fired)
@@ -363,24 +366,20 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
 def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]:
     """Pairs after 1..n successive D1-heralded swaps over identical links.
 
-    Every link of the chain carries a fresh copy of ``pair``; each swap
-    keeps the D1 branch.  The k-th entry spans k+1 links, so its
-    coefficient ratio is the input ratio to the power k+1.
+    Every link carries a fresh copy of ``pair``; each step reads ``swap``'s
+    station and reduces only the D1 outcome.  The k-th entry spans k+1
+    links, so its coefficient ratio is the input ratio to the power k+1.
     """
     if n_swaps < 1:
         raise ConfigError(f"need at least one swap, got {n_swaps}")
-    current = pair.with_modes("a", "b")
-    link = pair.with_modes("c", "d")
+    register, station = _station("swap", ("a", "b", "c", "d"))
+    current, link = pair.with_modes("a", "b"), pair.with_modes("c", "d")
     trace = []
     for _ in range(n_swaps):
-        branches = swap(current, link)
-        d1 = next(
-            r
-            for r in branches
-            if r.tag is Tag.SUCCESS and r.herald.detector == "D1"
-        )
-        current = d1.pair.with_modes("a", "b")
-        trace.append(d1.pair.with_modes(pair.mode_a, pair.mode_b))
+        readout = _readout(_joint(register, current, link), station)
+        kept = next(o for o in readout if o.fired == station.out_modes[0])
+        current = _pair_from_state(kept.post_state, "a", "b")
+        trace.append(current.with_modes(pair.mode_a, pair.mode_b))
     return trace
 
 

@@ -16,6 +16,7 @@ import pytest
 import singlerail
 from decimal import MAX_EMAX, MIN_EMIN, Context
 
+from singlerail import cli
 from singlerail.cli import (
     CLOSED_FORM_TOL,
     MAX_SWAP_DEPTH,
@@ -207,6 +208,39 @@ class TestConfigHandling:
         # default grid is the single balanced point, three rounds plus total
         assert [r["round"] for r in rows] == ["1", "2", "3", "total"]
         assert float(rows[0]["y_formula"]) == pytest.approx(0.25, abs=1e-12)
+
+
+class TestParserIsBuiltOnce:
+    """``main`` reuses one parser per process; no call may see another's flags."""
+
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.8], rounds=2)
+        argvs = [
+            ["yield", "--config", cfg],
+            ["yield", "--config", cfg, "--bogus"],
+            ["concentrate", "--config", cfg, "--trials", "1000", "--seed", "7"],
+            ["concentrate", "--config", cfg],
+            ["yield", "--config", cfg],
+        ]
+        cli._parser.cache_clear()
+        reused = [run_cli(argv, capsys) for argv in argvs]
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(argvs) - 1)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(argv, capsys) for argv in argvs]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0]
+        assert "--bogus" in reused[1][2]
+        assert reused[4] == reused[0]
+        assert "y_mc" in parse_csv(reused[2][1])[0]
+        assert "y_mc" not in parse_csv(reused[3][1])[0]
+
+    def test_flags_do_not_stick_to_the_cached_parser(self):
+        cli._parser().parse_args(["concentrate", "--trials", "5", "--seed", "3"])
+        args = cli._parser().parse_args(["concentrate"])
+        assert (args.trials, args.seed, args.config, args.format) == (None,) * 4
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestGenerate:

@@ -220,6 +220,52 @@ class TestSwapChain:
         assert (out.mode_a, out.mode_b) == ("left", "right")
 
 
+def _chain_through_swap(pair, n_swaps):
+    """The chain rebuilt from ``swap``'s records: each step keeps the
+    branch heralded by D1 and its pair."""
+    current, link = pair.with_modes("a", "b"), pair.with_modes("c", "d")
+    trace = []
+    for _ in range(n_swaps):
+        kept = next(r for r in swap(current, link) if r.herald.detector == "D1")
+        current = kept.pair.with_modes("a", "b")
+        trace.append(kept.pair.with_modes(pair.mode_a, pair.mode_b))
+    return trace
+
+
+def _bits(pair):
+    return repr(pair.alpha), repr(pair.beta), pair.mode_a, pair.mode_b
+
+
+class TestSwapChainIsTheD1BranchOfSwap:
+    """The chain reads the swap station without building records; every
+    step must equal ``swap``'s D1 branch bit for bit."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha_sq", [0.3, 0.499999038, 0.7, 1e-300])
+    def test_every_step_equals_swap(self, alpha_sq, theta):
+        pair = make_pair(alpha_sq, theta=theta, mode_a="left", mode_b="right")
+        chain = swap_chain_trace(pair, 200)
+        assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, 200)))
+
+    def test_deep_chain_equals_swap(self):
+        # beta**2 underflows to zero from about step 880 on
+        pair = make_pair(0.7, theta=0.3)
+        chain = swap_chain_trace(pair, 1500)
+        assert abs(chain[-1].beta) ** 2 == 0.0 < abs(chain[-1].beta)
+        assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, 1500)))
+
+    def test_renaming_to_the_same_modes_is_free(self):
+        pair = make_pair(0.3, theta=0.3)
+        assert pair.with_modes("a", "b") is pair
+        renamed = pair.with_modes("c", "d")
+        assert (renamed.alpha, renamed.beta, renamed.mode_a, renamed.mode_b) == (
+            pair.alpha,
+            pair.beta,
+            "c",
+            "d",
+        )
+
+
 class TestHeraldAction:
     # decision logic sees only the outcome class, never any amplitude
     @pytest.mark.parametrize(

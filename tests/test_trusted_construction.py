@@ -279,4 +279,5 @@ def test_every_lru_cache_in_the_package_is_bounded():
         "_click_patterns",
         "_station",
         "_probe",
+        "_parser",
     } <= set(caches)
