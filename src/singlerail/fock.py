@@ -231,8 +231,11 @@ class FockState:
         Mode names must be disjoint; the combined cutoff is the larger of
         the two operands' cutoffs.
         """
-        reg = _joint_register(self.register, other.register)
-        cutoff = reg.cutoff
+        overlap = set(self.register.names) & set(other.register.names)
+        if overlap:
+            raise RegisterError(f"tensor operands share mode names {sorted(overlap)!r}")
+        cutoff = max(self.register.cutoff, other.register.cutoff)
+        reg = ModeRegister(self.register.names + other.register.names, cutoff)
         out: dict[Occupation, complex] = {}
         for occ_l, amp_l in self.terms.items():
             for occ_r, amp_r in other.terms.items():
@@ -365,31 +368,16 @@ def _slots(idxs: tuple[int, ...]) -> Callable[[Occupation], Occupation]:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _joint_register(left: ModeRegister, right: ModeRegister) -> ModeRegister:
-    """The register of ``left`` tensor ``right``: joined names, larger cutoff."""
-    overlap = set(left.names) & set(right.names)
-    if overlap:
-        raise RegisterError(f"tensor operands share mode names {sorted(overlap)!r}")
-    return ModeRegister(left.names + right.names, max(left.cutoff, right.cutoff))
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _readout_plan(register: ModeRegister, drop: tuple[ModeId, ...]) -> tuple:
     """The register without ``drop`` (``register`` itself when nothing is
     dropped) and slot getters of the dropped and of the kept modes."""
-    out, dropped, keep = _drop_plan(register, drop)
-    return (out if drop else register), _slots(dropped), _slots(keep)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _drop_plan(register: ModeRegister, modes: tuple[ModeId, ...]) -> tuple:
-    """The register without ``modes``, their slots and the kept slots."""
-    dropped = register.indices(modes)
+    dropped = register.indices(drop)
     if len(set(dropped)) >= len(register):
         raise ConfigError("cannot drop every mode of a register")
     keep = tuple(i for i in range(len(register)) if i not in dropped)
-    names = tuple(register.names[i] for i in keep)
-    return ModeRegister(names, register.cutoff), dropped, keep
+    if drop:
+        register = ModeRegister([register.names[i] for i in keep], register.cutoff)
+    return register, _slots(dropped), _slots(keep)
 
 
 # -- constructors ------------------------------------------------------------

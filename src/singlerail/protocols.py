@@ -267,19 +267,6 @@ def generate_entanglement(params: SourceParams) -> tuple[float, SingleRailPair]:
 # -- entanglement swapping ------------------------------------------------------
 
 
-def _fresh_names(
-    preferred: tuple[str, ...], taken: tuple[str, ...]
-) -> tuple[str, ...]:
-    out = []
-    used = set(taken)
-    for name in preferred:
-        while name in used:
-            name += "_"
-        out.append(name)
-        used.add(name)
-    return tuple(out)
-
-
 def _pair_from_state(state: FockState, *modes: ModeId) -> SingleRailPair:
     """The pair on the two modes of ``state`` (named ``modes`` if given),
     from its one-photon kets."""
@@ -290,16 +277,15 @@ def _pair_from_state(state: FockState, *modes: ModeId) -> SingleRailPair:
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _station(step: str, modes: tuple[ModeId, ...]) -> tuple:
     """The joint register and the beam splitter of ``step`` over modes
-    (a, b, c, d), built once per mode names; the splitter's outputs are
-    its detectors, the first one D1.  A swap meets b and c at D1 and D2;
-    concentration, and recycling, meet c and d (the second pair) at c2
-    and d2.  Both wire c to the minus input."""
+    (a, b, c, d), built once per mode names.  The splitter's outputs keep
+    the names of the inputs they replace and are its detectors; the first,
+    the plus port, is D1.  A swap meets b and c, so D1 is b's port;
+    concentration, and recycling, meet c and d (the second pair), so D1 is
+    c's port.  Both wire c to the minus input."""
     if len(set(modes)) != 4:
         raise RegisterError(f"{step} needs four distinct modes, got {modes!r}")
-    swapping = step == "swap"
-    det = _fresh_names(("D1", "D2") if swapping else ("c2", "d2"), modes)
-    meet = modes[1:3] if swapping else modes[2:]
-    return ModeRegister(modes), BeamSplitter(meet, det, minus_input=modes[2])
+    meet = modes[1:3] if step == "swap" else modes[2:]
+    return ModeRegister(modes), BeamSplitter(meet, meet, minus_input=modes[2])
 
 
 def _joint(register: ModeRegister, p: SingleRailPair, q: SingleRailPair) -> FockState:
@@ -485,8 +471,8 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     state = result.state
     if state is None or len(state.register) != 4:
         raise ContractError("recyclable branch must carry a four-mode state")
-    # a2 feeds the difference combination and the difference lands on the
-    # d-port, so the D2 (d-port) branch picks up the '-' sign
+    # a2 feeds the difference combination and the difference lands on
+    # D2, b2's port, so the D2 branch picks up the '-' sign
     reduced: dict[str, SingleRailPair] = {}
     _, station = _station("concentration", state.register.names)
     for label, click in _single_clicks(state, station):

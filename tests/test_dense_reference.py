@@ -253,7 +253,7 @@ class TestProtocols:
             if cls != {1}:
                 model[(label,)] = prob, post
                 continue
-            # a2 and b2 meet, a2 on the minus input; c2 replaces a2, d2 replaces b2
+            # a2 and b2 meet, a2 on the minus input; D1 is a2's port, D2 b2's
             mixed = splitter_unitary(4, 2, 3, 2) @ post
             for pattern, detector in (((1, 0), "D1"), ((0, 1), "D2")):
                 click, after = click_branches(mixed, (2, 3))[pattern]

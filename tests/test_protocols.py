@@ -27,6 +27,7 @@ from singlerail import (
     swap,
     swap_chain_trace,
 )
+from singlerail.protocols import _station
 from conftest import make_pair
 
 
@@ -507,3 +508,102 @@ class TestMonteCarlo:
         stats = run_monte_carlo(make_pair(0.8), 100, seed=0)
         assert stats.expected["success"] == pytest.approx(0.32, abs=1e-12)
         assert stats.expected["recyclable"] == pytest.approx(0.68, abs=1e-12)
+
+
+PLAIN = ("a", "b", "c", "d")
+#: mode names a station's detectors were once named after, in every slot
+DETECTOR_LIKE = [("D1", "D2", "c2", "d2"), ("c2", "d2", "D1", "D2"), ("D1_", "D1", "D2", "D2_")]
+
+
+def _pairs(modes):
+    p = make_pair(0.8, theta=0.3)
+    return p.with_modes(*modes[:2]), p.with_modes(*modes[2:])
+
+
+def _branch_bits(results):
+    """Everything a branch reports except mode names, exactly."""
+    return [
+        (
+            r.tag,
+            repr(r.herald.events),
+            r.herald.detector,
+            r.herald.sign_correction,
+            repr(r.probability),
+            repr(r.state.serialize()),
+            repr(r.corrected_state().serialize()),
+            r.pair and (repr(r.pair.alpha), repr(r.pair.beta)),
+        )
+        for r in results
+    ]
+
+
+def _ledger_bits(ledger):
+    return [
+        (
+            repr(e.success_probability),
+            repr(e.recycle_probability),
+            repr(e.attempts_per_source_pair),
+            repr(e.yield_per_source_pair),
+            repr(e.cumulative_yield),
+            e.input_pair and (repr(e.input_pair.alpha), repr(e.input_pair.beta)),
+            e.recycled_pair and (repr(e.recycled_pair.alpha), repr(e.recycled_pair.beta)),
+        )
+        for e in ledger.entries
+    ]
+
+
+class TestStationModesMayLookLikeDetectors:
+    """A station's detectors are its splitter's outputs; caller modes named
+    like detectors must read out exactly as plain names do."""
+
+    @pytest.mark.parametrize("modes", DETECTOR_LIKE)
+    def test_swap(self, modes):
+        res = swap(*_pairs(modes))
+        assert _branch_bits(res) == _branch_bits(swap(*_pairs(PLAIN)))
+        for r in res:
+            if r.tag is Tag.SUCCESS:
+                assert r.state.register.names == (modes[0], modes[3])
+
+    @pytest.mark.parametrize("qnd_theta", [math.pi, 1.0])
+    @pytest.mark.parametrize("modes", DETECTOR_LIKE)
+    def test_concentration_round(self, modes, qnd_theta):
+        res = concentration_round(*_pairs(modes), qnd_theta)
+        assert _branch_bits(res) == _branch_bits(concentration_round(*_pairs(PLAIN), qnd_theta))
+        for r in res:
+            if r.tag is Tag.SUCCESS:
+                assert r.state.register.names == modes[:2]
+                assert r.herald.correction_mode == modes[1]
+
+    @pytest.mark.parametrize("modes", DETECTOR_LIKE)
+    def test_recyclable_to_pair(self, modes):
+        def recycled(names):
+            res = concentration_round(*_pairs(names))
+            return recyclable_to_pair(next(r for r in res if r.tag is Tag.RECYCLABLE))
+
+        out, plain = recycled(modes), recycled(PLAIN)
+        assert (repr(out.alpha), repr(out.beta)) == (repr(plain.alpha), repr(plain.beta))
+        assert (out.mode_a, out.mode_b) == modes[:2]
+
+    @pytest.mark.parametrize("modes", DETECTOR_LIKE)
+    def test_iterate_concentration(self, modes):
+        pair, plain = _pairs(modes)[0], _pairs(PLAIN)[0]
+        ledger = iterate_concentration(pair, 4)
+        assert _ledger_bits(ledger) == _ledger_bits(iterate_concentration(plain, 4))
+        assert all(
+            (e.recycled_pair.mode_a, e.recycled_pair.mode_b) == modes[:2]
+            for e in ledger.entries
+        )
+
+    @pytest.mark.parametrize("modes", DETECTOR_LIKE)
+    def test_swap_chain_trace(self, modes):
+        chain = swap_chain_trace(_pairs(modes)[0], 50)
+        plain = swap_chain_trace(_pairs(PLAIN)[0], 50)
+        assert [_bits(p)[:2] for p in chain] == [_bits(p)[:2] for p in plain]
+        assert all((p.mode_a, p.mode_b) == modes[:2] for p in chain)
+
+    @pytest.mark.parametrize("modes", [PLAIN, *DETECTOR_LIKE])
+    def test_splitter_outputs_keep_the_input_names(self, modes):
+        for step, meet in (("swap", modes[1:3]), ("concentration", modes[2:])):
+            register, station = _station(step, modes)
+            assert register.names == modes
+            assert station.out_modes == station.in_modes == meet
