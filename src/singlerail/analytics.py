@@ -63,10 +63,10 @@ def _balance_ratio(x: float, y: float, power: int) -> float:
 def yield_term(alpha: complex, beta: complex, n: int) -> float:
     """Closed-form yield of round ``n`` per source pair.
 
-    The first three rounds are explicit special cases; deeper rounds use
-    the product form with the bracket index running from 3 to n-1.  Only
-    the moduli of ``alpha`` and ``beta`` enter.  The expression stays
-    fixed even where the exact oracle disagrees (rounds >= 3);
+    Rounds 1 and 3 are explicit special cases; every other round uses
+    the product form, with the bracket index running from 3 to n-1 (none
+    at n = 2).  Only the moduli of ``alpha`` and ``beta`` enter.  The
+    expression stays fixed even where the exact oracle disagrees (rounds >= 3);
     ``compare_yield`` surfaces those differences instead of reconciling
     them.
     """
@@ -77,8 +77,6 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     ab_sq = x * y  # |alpha * beta|^2
     if n == 1:
         return ab_sq
-    if n == 2:
-        return 0.5 * (1.0 - 2.0 * ab_sq) * _balance_ratio(x, y, 2)
     if n == 3:
         return (
             0.25
@@ -321,9 +319,6 @@ def _oracle_floats(
         live = 1
     else:
         live = n_rounds
-    zeros = [0.0] * (n_rounds - live)
-    if not live:
-        return zeros, 0.0, 0
     digits = _START_DIGITS
     while True:
         down = Context(digits, ROUND_FLOOR, MIN_EMIN, MAX_EMAX)
@@ -337,7 +332,7 @@ def _oracle_floats(
                 break
             floats.append(value)
         else:
-            return floats[:-1] + zeros, floats[-1], live
+            return floats[:-1] + [0.0] * (n_rounds - live), floats[-1], live
         digits *= 2
 
 

@@ -276,18 +276,20 @@ def _amplitude_ratio(pair: SingleRailPair) -> float:
 
 def _closed_form_ratios(pair: SingleRailPair, depth: int) -> list[float]:
     """The amplitude ratio r**(n+1) after n = 1..``depth`` swaps, with r
-    the min/max ratio of the pair's float coefficients.
+    = sqrt(lo/hi) of the pair's exact weights alpha**2 and re**2 + im**2.
 
-    r and its powers are carried to ``REFERENCE_DIGITS`` digits, one
-    multiplication per swap, and each power is rounded once to a float,
-    so the reference's error does not grow with the depth the way that
-    of a float power of the rounded ratio does.  An explicit context with
-    the widest exponent range leaves the thread's ``decimal`` context
-    unread and nothing underflows.
+    The weights, r and its powers are carried to ``REFERENCE_DIGITS``
+    digits, one multiplication per swap, and each power is rounded once
+    to a float, so the reference's error does not grow with the depth the
+    way that of a power of a rounded ratio, or of ``abs(beta)``, does.  An
+    explicit context with the widest exponent range leaves the thread's
+    ``decimal`` context unread and nothing underflows.
     """
     ctx = Context(prec=REFERENCE_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)
-    lo, hi = sorted(map(ctx.create_decimal_from_float, (pair.alpha, abs(pair.beta))))
-    ratio = power = ctx.divide(lo, hi)
+    coeffs = pair.alpha, pair.beta.real, pair.beta.imag
+    alpha, re, im = map(ctx.create_decimal_from_float, coeffs)
+    lo, hi = sorted((ctx.multiply(alpha, alpha), ctx.fma(re, re, ctx.multiply(im, im))))
+    ratio = power = ctx.sqrt(ctx.divide(lo, hi))
     out = []
     for _ in range(depth):
         power = ctx.multiply(power, ratio)
@@ -438,7 +440,7 @@ def render_json(
         "rows": [
             {key: _jvalue(row.get(key)) for key in header} for row in rows
         ],
-        "summary": json.loads(json.dumps(summary)),
+        "summary": summary,
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -254,25 +254,18 @@ class FockState:
 
         Returns ``{key: (probability, renormalized state)}`` in order of
         first appearance; zero-probability groups are left out, since
-        impossible outcomes are data, not errors.  The modes in ``drop``
-        leave every post-state, each ket reduced as it is grouped.  With
-        ``key`` None the kets group by the dropped occupation (a tuple); a
-        given key must fix it, and a ket whose dropped level differs from
-        its group's first raises ``RegisterError``.
+        impossible outcomes are data, not errors.  Without a ``key`` the
+        kets group by the occupation of the modes in ``drop`` (a tuple),
+        which leave every post-state, each ket reduced as it is grouped.
+        A ``key`` together with ``drop`` is a ``ConfigError``.
         """
-        groups: dict[Hashable, dict[Occupation, complex]] = {}
+        if key is not None and drop:
+            raise ConfigError("partition groups by a key or by dropped modes, not both")
         register, level, kept = _readout_plan(self.register, tuple(drop))
-        if key is None or not drop:  # no dropped level the key could split
-            key = level if key is None else key
-            for occ, amp in self.terms.items():
-                groups.setdefault(key(occ), {})[kept(occ) if drop else occ] = amp
-        else:
-            levels: dict[Hashable, Occupation] = {}
-            for occ, amp in self.terms.items():
-                k, seen = key(occ), level(occ)
-                if levels.setdefault(k, seen) != seen:
-                    raise _entangled({levels[k], seen})
-                groups.setdefault(k, {})[kept(occ)] = amp
+        key = level if key is None else key
+        groups: dict[Hashable, dict[Occupation, complex]] = {}
+        for occ, amp in self.terms.items():
+            groups.setdefault(key(occ), {})[kept(occ) if drop else occ] = amp
         out: dict[Hashable, tuple[float, FockState]] = {}
         for k, kets in groups.items():
             prob = _weight(kets.values())
@@ -347,15 +340,11 @@ class FockState:
         register, level, kept = _readout_plan(self.register, tuple(modes))
         levels = set(map(level, self.terms))
         if len(levels) > 1:
-            raise _entangled(levels)
+            raise RegisterError(
+                "modes are entangled with the rest of the register; "
+                f"occupations seen: {sorted(levels)!r}"
+            )
         return FockState._of(register, {kept(o): a for o, a in self.terms.items()})
-
-
-def _entangled(levels: set[Occupation]) -> RegisterError:
-    return RegisterError(
-        "modes are entangled with the rest of the register; "
-        f"occupations seen: {sorted(levels)!r}"
-    )
 
 
 def _slots(idxs: tuple[int, ...]) -> Callable[[Occupation], Occupation]:
@@ -413,7 +402,4 @@ def superpose(addends: Iterable[tuple[complex, FockState]]) -> FockState:
         aligned = state.align_to(base)
         for occ, amp in aligned.terms.items():
             combined[occ] = combined.get(occ, 0j) + complex(coeff) * amp
-    raw = FockState(base, combined)
-    if raw.norm() < NORM_TOL:
-        raise DegenerateStateError("superposition cancelled to (numerical) zero")
-    return raw.normalize()
+    return FockState(base, combined).normalize()

@@ -537,27 +537,26 @@ def iterate_concentration(
         raise ConfigError(f"need at least one round, got {rounds}")
     entries = []
     current: SingleRailPair | None = pair
+    names = pair.mode_a, pair.mode_b
     attempts = 0.5
     cumulative = 0.0
     for n in range(1, rounds + 1):
-        if current is None:
-            entries.append(
-                RoundEntry(n, None, 0.0, 0.0, None, 0.0, 0.0, cumulative)
+        # a round with no input pair is the same round at zero weight
+        p_success = p_recycle = 0.0
+        recycled = None
+        if current is not None:
+            branches = concentration_round(
+                current.with_modes("a1", "b1"),
+                current.with_modes("a2", "b2"),
+                qnd_theta,
             )
-            continue
-        branches = concentration_round(
-            current.with_modes("a1", "b1"),
-            current.with_modes("a2", "b2"),
-            qnd_theta,
-        )
-        p_success = math.fsum(
-            r.probability for r in branches if r.tag is Tag.SUCCESS
-        )
-        recyclables = [r for r in branches if r.tag is Tag.RECYCLABLE]
-        p_recycle = math.fsum(r.probability for r in recyclables)
-        recycled = recyclable_to_pair(recyclables[0]) if recyclables else None
-        if recycled is not None:
-            recycled = recycled.with_modes(pair.mode_a, pair.mode_b)
+            p_success = math.fsum(
+                r.probability for r in branches if r.tag is Tag.SUCCESS
+            )
+            recyclables = [r for r in branches if r.tag is Tag.RECYCLABLE]
+            p_recycle = math.fsum(r.probability for r in recyclables)
+            if recyclables:
+                recycled = recyclable_to_pair(recyclables[0]).with_modes(*names)
         gained = attempts * p_success
         cumulative += gained
         entries.append(
@@ -614,7 +613,8 @@ def count_draws(
     below = np.zeros(len(edges), dtype=np.int64)  # draws under each edge
     for start in range(0, trials, DRAW_CHUNK):
         draws = rng.random(min(DRAW_CHUNK, trials - start))
-        below += [np.count_nonzero(draws < edge) for edge in edges]
+        for i, edge in enumerate(edges):
+            below[i] += np.count_nonzero(draws < edge)
     return np.diff(below, prepend=0, append=trials)
 
 
@@ -641,10 +641,9 @@ def run_monte_carlo(
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"branch probabilities sum to {total!r}, not 1")
-    edges = np.cumsum(probs / total)
+    # the last branch takes every draw past the interior edges
+    edges = np.cumsum(probs / total)[:-1]
     counts = count_draws(np.random.default_rng(seed), trials, edges)
-    if not counts[-1]:
-        counts = counts[:-1]  # no draw past the last edge (round-off)
 
     frequencies: dict[str, float] = {}
     expected: dict[str, float] = {}

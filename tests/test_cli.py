@@ -338,16 +338,24 @@ class TestSwapChain:
 
 
     def test_reference_is_exact_near_balance_up_to_the_depth_cap(self):
-        # the pair's own coefficient ratio to a 120-digit power, rounded
-        # once; 40 digits carried over 10**5 products round to the same float
+        # the ratio of the pair's exact weights, alpha**2 and re**2 + im**2
+        # of its float coefficients, to a 120-digit power, rounded once;
+        # 40 digits carried over 10**5 products round to the same float
         ctx = Context(prec=120, Emin=MIN_EMIN, Emax=MAX_EMAX)
         rng = random.Random(20260819)
         near = [0.5 - 10 ** -rng.uniform(1, 9) for _ in range(3)]
-        for alpha_sq in (*near, 0.5 + 10 ** -rng.uniform(1, 9)):
-            pair = _pair(alpha_sq, 0.0)
+        cases = [(x, 0.0) for x in (*near, 0.5 + 10 ** -rng.uniform(1, 9))]
+        cases += [(0.500000962, 0.3), (0.49999999, 1.1), (0.5 - 1e-7, -2.5)]
+        for alpha_sq, theta_ab in cases:
+            pair = _pair(alpha_sq, theta_ab)
             got = _closed_form_ratios(pair, MAX_SWAP_DEPTH)
-            lo, hi = sorted(map(ctx.create_decimal_from_float, (pair.alpha, abs(pair.beta))))
-            ratio = ctx.divide(lo, hi)
+            alpha, re, im = map(
+                ctx.create_decimal_from_float,
+                (pair.alpha, pair.beta.real, pair.beta.imag),
+            )
+            b_sq = ctx.add(ctx.multiply(re, re), ctx.multiply(im, im))
+            lo, hi = sorted((ctx.multiply(alpha, alpha), b_sq))
+            ratio = ctx.sqrt(ctx.divide(lo, hi))
             assert len(got) == MAX_SWAP_DEPTH
             for n in (1, 2, 17, 1000, 18540, 27181, 60000, MAX_SWAP_DEPTH):
                 assert got[n - 1] == float(ctx.to_sci_string(ctx.power(ratio, n + 1)))
@@ -366,15 +374,11 @@ class TestSwapChain:
         "alpha_sq,theta_ab",
         [
             (0.49999999, 0.0),
-            pytest.param(
-                0.500000962,
-                0.3,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="with a phase the simulated ratio drifts linearly "
-                    "from the closed form, past CLOSED_FORM_TOL at n = 19874",
-                ),
-            ),
+            # with a phase a reference built on the rounded modulus
+            # abs(beta) drifted past CLOSED_FORM_TOL (from n = 19874 and
+            # n = 15881), though the simulation stays on the exact ratio
+            (0.500000962, 0.3),
+            (0.49999999, 1.1),
         ],
     )
     def test_simulation_stays_on_the_closed_form_at_depth(self, alpha_sq, theta_ab):

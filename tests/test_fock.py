@@ -219,6 +219,12 @@ class TestNormalizeAndCompose:
         with pytest.raises(DegenerateStateError):
             superpose([(1.0, one), (-1.0, one)])
 
+    def test_superpose_numerical_cancellation_is_degenerate(self):
+        # a nonzero remainder below NORM_TOL is refused like an exact zero
+        one = single_photon(ModeRegister(("a",)), "a")
+        with pytest.raises(DegenerateStateError):
+            superpose([(1.0, one), (-(1.0 - 2.0**-50), one)])
+
 
 class TestProjection:
     def test_project_partitions_probability(self, rng):
@@ -255,10 +261,14 @@ class TestProjection:
         assert list(s.partition(lambda occ: occ[1])) == [0]
 
     def test_partition_drop_not_fixed_by_key_is_rejected(self):
+        # a key together with dropped modes is refused, whether or not the
+        # key fixes the dropped level
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(1, 0): 1.0, (0, 1): 1.0}).normalize()
-        with pytest.raises(RegisterError):
+        with pytest.raises(ConfigError):
             s.partition(lambda occ: sum(occ), drop=("b",))
+        with pytest.raises(ConfigError):
+            s.partition(lambda occ: occ[1], drop=("b",))
 
 
 class TestRegisterSurgery:

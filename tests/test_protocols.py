@@ -27,7 +27,7 @@ from singlerail import (
     swap,
     swap_chain_trace,
 )
-from singlerail.protocols import _station
+from singlerail.protocols import RoundEntry, _station
 from conftest import make_pair
 
 
@@ -481,6 +481,13 @@ class TestIterateConcentration:
         assert ledger.entries[2].yield_per_source_pair == 0.0
         assert ledger.cumulative_yield == pytest.approx(0.16, abs=1e-12)
 
+    def test_rounds_without_input_are_zero_weight_rounds(self):
+        ledger = iterate_concentration(make_pair(0.8), 4, 1.0)
+        cumulative = ledger.entries[0].cumulative_yield
+        for n, entry in enumerate(ledger.entries[1:], start=2):
+            dead = RoundEntry(n, None, 0.0, 0.0, None, 0.0, 0.0, cumulative)
+            assert repr(entry) == repr(dead)
+
 
 class TestMonteCarlo:
     def test_requires_trials(self):
@@ -494,8 +501,16 @@ class TestMonteCarlo:
         assert a.frequencies == b.frequencies
 
     def test_counts_cover_all_trials(self):
+        # one count per branch at pi: recyclable, D1, D2
         stats = run_monte_carlo(make_pair(0.8), 5000, seed=3)
+        assert len(stats.branch_counts) == len(stats.branch_labels) == 3
         assert sum(stats.branch_counts) == 5000
+
+    def test_one_branch_takes_every_trial(self):
+        # qnd_theta 0 reads nothing: one FAILURE branch
+        stats = run_monte_carlo(make_pair(0.8), 3000, qnd_theta=0.0, seed=4)
+        assert stats.branch_labels == ("failure:0|1|2",)
+        assert stats.branch_counts == (3000,)
 
     def test_frequencies_near_expected(self):
         stats = run_monte_carlo(make_pair(0.8), 100_000, seed=5)
