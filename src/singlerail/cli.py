@@ -54,7 +54,8 @@ _SAMPLING_COMMANDS = ("generate", "concentrate")
 MAX_TRIALS = 2**30
 
 #: swap-chain depth cap: every swap adds a table row and takes about
-#: 0.08 ms, so 10**5 swaps take about 8 s per alpha_sq point
+#: 0.03 ms, so 10**5 swaps take about 4 s per alpha_sq point, table and
+#: reference included (measured on a shared 2-vCPU Xeon, Python 3.11)
 MAX_SWAP_DEPTH = 10**5
 
 #: digits of the swap-chain reference: its rounding, which grows by about

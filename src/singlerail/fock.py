@@ -61,6 +61,15 @@ def _weight(amps: Iterable[complex]) -> float:
         raise ConfigError("|amplitude| past ~1.34e154: its square overflows") from None
 
 
+def _renormalized(kets: dict[Occupation, complex]) -> tuple[float, dict]:
+    """The weight of ``kets`` and, when it is positive, ``kets`` at unit norm."""
+    prob = _weight(kets.values())
+    if prob > 0.0:
+        scale = 1.0 / math.sqrt(prob)
+        kets = {occ: a * scale for occ, a in kets.items()}
+    return prob, kets
+
+
 def _kept(terms: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
     """``terms`` without exact zeros (``terms`` itself if it holds none); a
     non-finite amplitude is a ``ConfigError``."""
@@ -268,10 +277,8 @@ class FockState:
             groups.setdefault(key(occ), {})[kept(occ) if drop else occ] = amp
         out: dict[Hashable, tuple[float, FockState]] = {}
         for k, kets in groups.items():
-            prob = _weight(kets.values())
+            prob, post = _renormalized(kets)
             if prob > 0.0:
-                scale = 1.0 / math.sqrt(prob)
-                post = {occ: a * scale for occ, a in kets.items()}
                 out[k] = prob, FockState._of(register, post)
         return out
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import ConfigError
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _slots
+from .fock import _kept, _readout_plan, _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -99,32 +100,63 @@ def _splitter_plan(reg: ModeRegister, bs: BeamSplitter) -> tuple:
     return ModeRegister(tuple(names), reg.cutoff), i0, i1, table
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
+    """``bs`` on kets ``support`` of ``reg``: the output register and slots
+    (output occupations), per ket its transfer program (None if no photon
+    meets the splitter) and the slots it feeds, the register detectors on
+    the outputs leave and, in readout order, each outcome's pattern, fired
+    detector and members, as (slot, kept occupation) pairs."""
+    new_reg, i0, i1, table = _splitter_plan(reg, bs)
+    slots: dict[Occupation, int] = {}
+    steps = []
+    for occ in support:
+        program = table.get((occ[i0], occ[i1]))
+        lifted, fed = list(occ), []
+        for lifted[i0], lifted[i1] in program[2] if program else [(occ[i0], occ[i1])]:
+            fed.append(slots.setdefault(tuple(lifted), len(slots)))
+        steps.append((program, tuple(fed)))
+    if len(reg) == 2:  # detecting every mode leaves no post-state
+        return new_reg, tuple(slots), tuple(steps), None, ()
+    post_reg, level, kept = _readout_plan(new_reg, bs.out_modes)
+    groups: dict[tuple, list] = {}
+    for occ in slots:
+        groups.setdefault(level(occ), []).append((occ, kept(occ)))
+    clicks = _click_patterns(bs.out_modes)
+    readout = tuple((p, f, tuple(groups[p])) for p, f in _readout_order(clicks, groups))
+    return new_reg, tuple(slots), tuple(steps), post_reg, readout
+
+
+def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict) -> tuple[tuple, dict]:
+    """The slot plan of ``bs`` on ``kets`` and the output kets, exact zeros
+    dropped: each ket replays its input's expansion, op by op."""
+    plan = _slot_plan(reg, bs, tuple(kets))
+    _, slots, steps, *_ = plan
+    out = [0j] * len(slots)
+    for (program, fed), amp in zip(steps, kets.values()):
+        poly = [amp]
+        if program is not None:
+            divisor, layers, _ = program
+            poly = [amp / divisor]
+            for width, ops in layers:
+                raised = [0j] * width
+                for src, dst, c, ladder in ops:
+                    raised[dst] += poly[src] * c * ladder
+                poly = raised
+        for slot, a in zip(fed, poly):
+            out[slot] += a
+    return plan, _kept(dict(zip(slots, out)))
+
+
 def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
     """Rewrite ``state`` in the output basis of ``bs``.
 
     The transformation is unitary, so the norm is preserved to round-off;
     total photon number is conserved term by term.  Each ket replays its
-    input's expansion, op by op, from the plan's transfer table.
+    input's expansion from the slot plan of the state's kets.
     """
-    new_reg, i0, i1, table = _splitter_plan(state.register, bs)
-    out_terms: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        program = table.get((occ[i0], occ[i1]))
-        if program is None:  # no photon meets the splitter
-            out_terms[occ] = out_terms.get(occ, 0j) + amp
-            continue
-        divisor, layers, keys = program
-        poly = [amp / divisor]
-        for width, ops in layers:
-            raised = [0j] * width
-            for src, dst, c, ladder in ops:
-                raised[dst] += poly[src] * c * ladder
-            poly = raised
-        lifted = list(occ)
-        for (lifted[i0], lifted[i1]), a in zip(keys, poly):
-            key = tuple(lifted)
-            out_terms[key] = out_terms.get(key, 0j) + a
-    return FockState._of(new_reg, out_terms)
+    (register, *_), out = _outputs(state.register, bs, state.terms)
+    return FockState._of(register, out)
 
 
 @dataclass(frozen=True)
@@ -227,14 +259,17 @@ def detect_single_photon(
     det = tuple(detector_modes)
     clicks = _click_patterns(det)
     seen = state.partition(drop=det)
-    outcomes = [
-        DetectionOutcome(fired, pattern, *seen[pattern], flagged=False)
-        for pattern, fired in clicks
-        if pattern in seen
+    return [
+        DetectionOutcome(fired, pattern, *seen[pattern], flagged=sum(pattern) >= 2)
+        for pattern, fired in _readout_order(clicks, seen)
     ]
-    for pattern in sorted(p for p in seen if sum(p) >= 2):
-        outcomes.append(DetectionOutcome(None, pattern, *seen[pattern], flagged=True))
-    return outcomes
+
+
+def _readout_order(clicks: tuple, seen: Collection[tuple]) -> list[tuple]:
+    """The patterns in ``seen`` as (pattern, fired detector): the ``clicks``
+    (single clicks, then no click), then the multi-photon patterns sorted."""
+    multi = [(p, None) for p in sorted(seen) if sum(p) >= 2]
+    return [(p, fired) for p, fired in (*clicks, *multi) if p in seen]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -33,10 +33,11 @@ from .errors import (
     RegisterError,
 )
 from .fock import DEFAULT_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
+from .fock import Occupation, _renormalized
 from .optics import (
     BeamSplitter,
-    apply_beam_splitter,
-    detect_single_photon,
+    DetectionOutcome,
+    _outputs,
     phase_flip,
     qnd_measure,
     QndConfig,
@@ -146,8 +147,14 @@ class SingleRailPair:
         return cmath.phase(self.beta)
 
     def with_modes(self, mode_a: ModeId, mode_b: ModeId) -> "SingleRailPair":
-        same = (mode_a, mode_b) == (self.mode_a, self.mode_b)
-        return self if same else type(self)(self.alpha, self.beta, mode_a, mode_b)
+        """Renamed; ``self`` is validated already, so only the names are checked."""
+        if (mode_a, mode_b) == (self.mode_a, self.mode_b):
+            return self
+        if mode_a == mode_b:
+            raise RegisterError(f"pair modes must differ, got {mode_a!r} twice")
+        new = object.__new__(type(self))
+        vars(new).update(alpha=self.alpha, beta=self.beta, mode_a=mode_a, mode_b=mode_b)
+        return new
 
     def to_state(self) -> FockState:
         amps = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
@@ -267,11 +274,10 @@ def generate_entanglement(params: SourceParams) -> tuple[float, SingleRailPair]:
 # -- entanglement swapping ------------------------------------------------------
 
 
-def _pair_from_state(state: FockState, *modes: ModeId) -> SingleRailPair:
-    """The pair on the two modes of ``state`` (named ``modes`` if given),
-    from its one-photon kets."""
+def _pair_from_state(state: FockState) -> SingleRailPair:
+    """The pair on the two modes of ``state``, from its one-photon kets."""
     amps = state.amplitude((1, 0)), state.amplitude((0, 1))
-    return SingleRailPair.from_coefficients(*amps, *(modes or state.register.names))
+    return SingleRailPair.from_coefficients(*amps, *state.register.names)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -288,20 +294,28 @@ def _station(step: str, modes: tuple[ModeId, ...]) -> tuple:
     return ModeRegister(modes), BeamSplitter(meet, meet, minus_input=modes[2])
 
 
-def _joint(register: ModeRegister, p: SingleRailPair, q: SingleRailPair) -> FockState:
-    """``p.to_state().tensor(q.to_state())`` on ``register``."""
+def _joint(p: SingleRailPair, q: SingleRailPair) -> dict[Occupation, complex]:
+    """The kets of ``p.to_state().tensor(q.to_state())``, exact zeros dropped."""
     a, b, c, d = map(complex, (p.alpha, p.beta, q.alpha, q.beta))
     kets = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
-    return FockState._of(register, dict(zip(kets, (a * c, a * d, b * c, b * d))))
+    return {k: amp for k, amp in zip(kets, (a * c, a * d, b * c, b * d)) if amp}
 
 
 def _label(station: BeamSplitter, detector: ModeId) -> str:
     return "D1" if detector == station.out_modes[0] else "D2"
 
 
-def _readout(state: FockState, station: BeamSplitter) -> list:
-    """The station's detector outcomes on ``state``: splitter, then counting."""
-    return detect_single_photon(apply_beam_splitter(state, station), station.out_modes)
+def _readout(state: FockState, station: BeamSplitter) -> list[DetectionOutcome]:
+    """The station's detector outcomes on ``state``, splitter then counting,
+    as ``detect_single_photon`` reads them, from the station's slot plan."""
+    (*_, post_register, readout), out = _outputs(state.register, station, state.terms)
+    outcomes = []
+    for pattern, fired, members in readout:
+        prob, post = _renormalized({k: out[o] for o, k in members if o in out})
+        if prob > 0.0:
+            post_state, flagged = FockState._of(post_register, post), sum(pattern) >= 2
+            outcomes.append(DetectionOutcome(fired, pattern, prob, post_state, flagged))
+    return outcomes
 
 
 def _single_clicks(state: FockState, station: BeamSplitter) -> list[tuple]:
@@ -331,7 +345,7 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
         "swap", (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
     results = []
-    for outcome in _readout(_joint(register, pair_ab, pair_cd), station):
+    for outcome in _readout(FockState._of(register, _joint(pair_ab, pair_cd)), station):
         success = outcome.fired is not None
         if success:
             label = _label(station, outcome.fired)
@@ -352,20 +366,23 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
 def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]:
     """Pairs after 1..n successive D1-heralded swaps over identical links.
 
-    Every link carries a fresh copy of ``pair``; each step reads ``swap``'s
-    station and reduces only the D1 outcome.  The k-th entry spans k+1
+    Every link carries a fresh copy of ``pair``; each step runs ``swap``'s
+    station and reads only the D1 outcome's kets.  The k-th entry spans k+1
     links, so its coefficient ratio is the input ratio to the power k+1.
     """
     if n_swaps < 1:
         raise ConfigError(f"need at least one swap, got {n_swaps}")
     register, station = _station("swap", ("a", "b", "c", "d"))
-    current, link = pair.with_modes("a", "b"), pair.with_modes("c", "d")
-    trace = []
+    current, trace = pair, []
     for _ in range(n_swaps):
-        readout = _readout(_joint(register, current, link), station)
-        kept = next(o for o in readout if o.fired == station.out_modes[0])
-        current = _pair_from_state(kept.post_state, "a", "b")
-        trace.append(current.with_modes(pair.mode_a, pair.mode_b))
+        (*_, readout), out = _outputs(register, station, _joint(current, pair))
+        members = next(m for _, fired, m in readout if fired == station.out_modes[0])
+        # the other outcomes' weights are never taken: chain inputs are
+        # normalized pairs, so every product is <= 1 and no square overflows
+        _, post = _renormalized({k: out[o] for o, k in members if o in out})
+        amps = post.get((1, 0), 0j), post.get((0, 1), 0j)
+        current = SingleRailPair.from_coefficients(*amps, pair.mode_a, pair.mode_b)
+        trace.append(current)
     return trace
 
 
@@ -427,7 +444,7 @@ def concentration_round(
         "concentration", (pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b)
     )
     probe, verdicts = _probe((pair1.mode_b, pair2.mode_b), qnd_theta)
-    joint = _joint(register, pair1, pair2)
+    joint = FockState._of(register, _joint(pair1, pair2))
 
     results = []
     for reading in qnd_measure(joint, probe):

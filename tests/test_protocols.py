@@ -266,6 +266,20 @@ class TestSwapChainIsTheD1BranchOfSwap:
             "d",
         )
 
+    def test_renaming_checks_only_the_names(self, monkeypatch):
+        pair = make_pair(0.3, theta=0.3)
+        validated = SingleRailPair(pair.alpha, pair.beta, "c", "d")
+
+        def revalidated(self):
+            raise AssertionError("with_modes re-ran the normalization check")
+
+        monkeypatch.setattr(SingleRailPair, "__post_init__", revalidated)
+        renamed = pair.with_modes("c", "d")
+        assert renamed == validated and hash(renamed) == hash(validated)
+        assert type(renamed) is SingleRailPair
+        with pytest.raises(RegisterError, match="must differ"):
+            pair.with_modes("c", "c")
+
 
 class TestHeraldAction:
     # decision logic sees only the outcome class, never any amplitude

@@ -9,6 +9,7 @@ Structural plans are cached with a bound, which must hold.
 """
 
 import importlib
+import itertools
 import math
 import pkgutil
 
@@ -38,9 +39,9 @@ from singlerail import (
     swap,
 )
 from singlerail.fock import PLAN_CACHE_SIZE, _readout_plan
-from singlerail.optics import _click_patterns, _outcome_classes, _splitter_plan
-from singlerail.protocols import _probe, _station
-from conftest import random_state
+from singlerail.optics import _click_patterns, _outcome_classes, _slot_plan, _splitter_plan
+from singlerail.protocols import _probe, _readout, _station
+from conftest import all_occupations, random_state
 
 REG = ModeRegister(("m0", "m1", "m2", "m3"))
 #: scales applied to a normalized random state: none, unnormalized,
@@ -186,6 +187,69 @@ class TestTransferTableIsBitExact:
                 assert _exact(apply_beam_splitter(s, bs)) == _exact(polynomial_splitter(s, bs))
 
 
+def _outcome_bits(outcome) -> tuple:
+    post = outcome.post_state
+    return (
+        outcome.pattern,
+        outcome.fired,
+        outcome.flagged,
+        repr(outcome.probability),
+        _exact(post),
+        list(post.terms),  # insertion order
+        post.register.names,
+    )
+
+
+def _station_bits(state: FockState, step: str) -> tuple[list, list]:
+    """The station readout from the slot plan, and the splitter followed by
+    ``detect_single_photon``, both as ``_outcome_bits``."""
+    _, station = _station(step, state.register.names)
+    plain = detect_single_photon(apply_beam_splitter(state, station), station.out_modes)
+    return list(map(_outcome_bits, _readout(state, station))), list(map(_outcome_bits, plain))
+
+
+class TestStationReadoutOnTheSlotPlan:
+    """``protocols._readout`` reads a station from its slot plan; it must
+    equal the splitter followed by ``detect_single_photon`` bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(SCALES),
+        st.sampled_from(("swap", "concentration")),
+    )
+    def test_same_outcomes_as_splitter_then_detection(self, seed, scale, step):
+        rng = np.random.default_rng(seed)
+        s = random_state(rng, REG)
+        # a random support; the subnormal scales also underflow some kets,
+        # products and interference terms to exact zeros
+        kept = [occ for occ in s.terms if rng.random() < 0.6] or list(s.terms)
+        s = FockState(REG, {occ: s.terms[occ] * scale for occ in kept})
+        got, want = _station_bits(s, step)
+        assert got == want
+
+    @pytest.mark.parametrize("occ", [(0, 1, 1, 0), (0, 0, 1, 1), (0, 2, 0, 0), (1, 0, 0, 1)])
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("step", ["swap", "concentration"])
+    def test_two_photon_and_signed_inputs(self, occ, scale, step):
+        for amp in (1.0, -1.0, 1j, complex(-0.0, 0.6), complex(0.8, -0.0)):
+            s = FockState(REG, {occ: amp * scale, (1, 0, 0, 0): -0.5j * scale})
+            got, want = _station_bits(s, step)
+            assert got == want
+
+    def test_non_finite_splitter_output_is_a_config_error(self):
+        _, station = _station("swap", REG.names)
+        s = FockState(REG, {(0, 1, 0, 0): 1.7e308, (0, 0, 1, 0): 1.7e308})
+        with pytest.raises(ConfigError, match="non-finite"):
+            _readout(s, station)
+
+    def test_overflowing_square_is_a_config_error(self):
+        _, station = _station("concentration", REG.names)
+        s = FockState(REG, {(0, 0, 1, 0): 1e200, (1, 0, 0, 0): 1e-200})
+        with pytest.raises(ConfigError, match="overflows"):
+            _readout(s, station)
+
+
 class TestPlanCachesAreBounded:
     def test_more_registers_than_the_bound(self):
         assert _readout_plan.cache_info().maxsize == PLAN_CACHE_SIZE
@@ -236,6 +300,20 @@ class TestPlanCachesAreBounded:
         assert len(results) == 2  # same amplitudes whatever the mode names
 
 
+    def test_slot_plans_stay_within_the_bound(self):
+        assert _slot_plan.cache_info().maxsize == PLAN_CACHE_SIZE
+        _, station = _station("swap", REG.names)
+        supports = list(itertools.islice(itertools.combinations(all_occupations(4, 2), 3), 168))
+        assert len(supports) == PLAN_CACHE_SIZE + 40
+        for _sweep in range(2):  # the second sweep recomputes evicted plans
+            for support in supports:
+                s = FockState(REG, {occ: 0.5 - 0.25j * k for k, occ in enumerate(support)})
+                got, want = _station_bits(s, "swap")
+                assert got == want
+                assert _slot_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+                plan = _slot_plan(REG, station, support)
+                assert plan == _slot_plan.__wrapped__(REG, station, support)
+
     def test_station_caches_stay_within_the_bound(self):
         caches = (_station, _probe, _outcome_classes, _click_patterns)
         assert all(c.cache_info().maxsize == PLAN_CACHE_SIZE for c in caches)
@@ -275,6 +353,7 @@ def test_every_lru_cache_in_the_package_is_bounded():
     assert {
         "_readout_plan",
         "_splitter_plan",
+        "_slot_plan",
         "_outcome_classes",
         "_click_patterns",
         "_station",
