@@ -32,6 +32,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Dec
 from fractions import Fraction
 
 from .errors import CapacityError, ConfigError
+from .fock import _count
 from .optics import _outcome_classes
 from .protocols import (
     KEEP,
@@ -70,6 +71,7 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     ``compare_yield`` surfaces those differences instead of reconciling
     them.
     """
+    n = _count(n, "round index")
     if n < 1:
         raise ConfigError(f"round index starts at 1, got {n}")
     x = abs(alpha) ** 2
@@ -96,6 +98,7 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
 
 
 def yield_series(alpha: complex, beta: complex, n_rounds: int) -> list[float]:
+    n_rounds = _count(n_rounds, "round count")
     return [yield_term(alpha, beta, n) for n in range(1, n_rounds + 1)]
 
 
@@ -126,8 +129,9 @@ def _probe_actions(qnd_theta: float) -> set[str]:
     return {herald_action(cls) for cls in classes}
 
 
-def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> Fraction:
-    """Domain checks and the exact starting pair weight x of both oracle paths."""
+def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> tuple:
+    """Domain checks; the round count and exact start weight x of both oracle paths."""
+    n_rounds = _count(n_rounds, "round count")
     if n_rounds < 1:
         raise ConfigError(f"need at least one round, got {n_rounds}")
     if n_rounds > MAX_ORACLE_ROUNDS:
@@ -139,7 +143,7 @@ def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> Fraction:
     b_sq = Fraction(float(abs(beta))) ** 2
     if a_sq + b_sq == 0:
         raise ConfigError("alpha and beta cannot both vanish")
-    return a_sq / (a_sq + b_sq)
+    return n_rounds, a_sq / (a_sq + b_sq)
 
 
 def yield_oracle(
@@ -156,7 +160,7 @@ def yield_oracle(
     without a one-photon class keeps nothing, and one without the merged
     {0, 2} class recycles nothing, so later rounds see no attempts.
     """
-    x = _oracle_weight(alpha, beta, n_rounds)
+    n_rounds, x = _oracle_weight(alpha, beta, n_rounds)
     actions = _probe_actions(qnd_theta)
     zero = Fraction(0)
 
@@ -227,6 +231,7 @@ def monte_carlo_yield(
     ledger's state-vector walk recorded; the multinomial draws are the
     only stochastic element and are fully determined by ``seed``.
     """
+    trials = _count(trials, "trials")
     if trials < 1:
         raise ConfigError(f"need at least one source pair, got {trials}")
     import numpy as np  # deferred: only a run that draws pays the import
@@ -350,7 +355,7 @@ def compare_yield(
     input to attempt) has an exactly zero oracle yield, and its formula
     value is 0 as well.
     """
-    x = _oracle_weight(alpha, beta, n_rounds)
+    n_rounds, x = _oracle_weight(alpha, beta, n_rounds)
     oracle, total, live = _oracle_floats(x, n_rounds, _probe_actions(qnd_theta))
     formula = yield_series(alpha, beta, n_rounds)
     formula = [value if n < live else 0.0 for n, value in enumerate(formula)]

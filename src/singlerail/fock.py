@@ -16,7 +16,7 @@ Conventions enforced here:
 * global phase is never canonicalized automatically, comparisons go
   through ``fidelity`` which is phase-insensitive;
 * only exact zeros are dropped, so a walk follows the exact weights down
-  to underflow; a measurement is one ``partition`` pass over the kets;
+  to underflow; a QND or projective readout is one ``partition`` pass;
 * public input is validated once: ``FockState(register, terms)`` checks
   every ket; operation results go through the trusted ``FockState._of``,
   which only rejects non-finite amplitudes and drops exact zeros.
@@ -25,7 +25,6 @@ Conventions enforced here:
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from typing import Callable, Hashable, Iterable, Mapping
@@ -256,30 +255,21 @@ class FockState:
 
     # -- measurement-style operations ---------------------------------------
 
-    def partition(
-        self, key: Grouping | None = None, drop: tuple[ModeId, ...] = ()
-    ) -> dict[Hashable, tuple[float, "FockState"]]:
+    def partition(self, key: Grouping) -> dict[Hashable, tuple[float, "FockState"]]:
         """Group kets by ``key(occupation)`` in one pass: one readout.
 
         Returns ``{key: (probability, renormalized state)}`` in order of
         first appearance; zero-probability groups are left out, since
-        impossible outcomes are data, not errors.  Without a ``key`` the
-        kets group by the occupation of the modes in ``drop`` (a tuple),
-        which leave every post-state, each ket reduced as it is grouped.
-        A ``key`` together with ``drop`` is a ``ConfigError``.
+        impossible outcomes are data, not errors.  Post-states keep every mode.
         """
-        if key is not None and drop:
-            raise ConfigError("partition groups by a key or by dropped modes, not both")
-        register, level, kept = _readout_plan(self.register, tuple(drop))
-        key = level if key is None else key
         groups: dict[Hashable, dict[Occupation, complex]] = {}
         for occ, amp in self.terms.items():
-            groups.setdefault(key(occ), {})[kept(occ) if drop else occ] = amp
+            groups.setdefault(key(occ), {})[occ] = amp
         out: dict[Hashable, tuple[float, FockState]] = {}
         for k, kets in groups.items():
             prob, post = _renormalized(kets)
             if prob > 0.0:
-                out[k] = prob, FockState._of(register, post)
+                out[k] = prob, FockState._of(self.register, post)
         return out
 
     def project(
@@ -363,17 +353,15 @@ def _slots(idxs: tuple[int, ...]) -> Callable[[Occupation], Occupation]:
     return operator.itemgetter(*idxs)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _readout_plan(register: ModeRegister, drop: tuple[ModeId, ...]) -> tuple:
-    """The register without ``drop`` (``register`` itself when nothing is
-    dropped) and slot getters of the dropped and of the kept modes."""
+    """The register without ``drop`` and slot getters of the dropped and
+    of the kept modes."""
     dropped = register.indices(drop)
     if len(set(dropped)) >= len(register):
         raise ConfigError("cannot drop every mode of a register")
     keep = tuple(i for i in range(len(register)) if i not in dropped)
-    if drop:
-        register = ModeRegister([register.names[i] for i in keep], register.cutoff)
-    return register, _slots(dropped), _slots(keep)
+    kept_register = ModeRegister([register.names[i] for i in keep], register.cutoff)
+    return kept_register, _slots(dropped), _slots(keep)
 
 
 # -- constructors ------------------------------------------------------------

@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Collection
 
 from .errors import ConfigError
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _kept, _readout_plan, _slots
+from .fock import _kept, _readout_plan, _renormalized, _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -80,50 +79,29 @@ def _program(n0: int, n1: int, c0: tuple, c1: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _splitter_plan(reg: ModeRegister, bs: BeamSplitter) -> tuple:
-    """The output register of ``bs`` on ``reg``, its two input slots and
-    its transfer table: the ``_program`` of every input (n0, n1) with
-    0 < n0 + n1 <= cutoff, built eagerly so that plans compare equal."""
-    i0 = reg.index(bs.in_modes[0])
-    i1 = reg.index(bs.in_modes[1])
-    names = list(reg.names)
-    names[i0] = bs.out_modes[0]
-    names[i1] = bs.out_modes[1]
-    c0 = bs.coefficients(bs.in_modes[0])
-    c1 = bs.coefficients(bs.in_modes[1])
-    table = {
-        (n0, n1): _program(n0, n1, c0, c1)
-        for n0 in range(reg.cutoff + 1)
-        for n1 in range(reg.cutoff + 1 - n0)
-        if n0 or n1
-    }
-    return ModeRegister(tuple(names), reg.cutoff), i0, i1, table
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
     """``bs`` on kets ``support`` of ``reg``: the output register and slots
     (output occupations), per ket its transfer program (None if no photon
-    meets the splitter) and the slots it feeds, the register detectors on
-    the outputs leave and, in readout order, each outcome's pattern, fired
-    detector and members, as (slot, kept occupation) pairs."""
-    new_reg, i0, i1, table = _splitter_plan(reg, bs)
+    meets the splitter) and the slots it feeds, then the post-register
+    and readout of detectors on the outputs (``_readout_groups``)."""
+    i0, i1 = reg.indices(bs.in_modes)
+    names = list(reg.names)
+    names[i0], names[i1] = bs.out_modes
+    new_reg = ModeRegister(names, reg.cutoff)
+    c0 = bs.coefficients(bs.in_modes[0])
+    c1 = bs.coefficients(bs.in_modes[1])
     slots: dict[Occupation, int] = {}
     steps = []
     for occ in support:
-        program = table.get((occ[i0], occ[i1]))
+        n0, n1 = occ[i0], occ[i1]
+        program = _program(n0, n1, c0, c1) if n0 or n1 else None
         lifted, fed = list(occ), []
-        for lifted[i0], lifted[i1] in program[2] if program else [(occ[i0], occ[i1])]:
+        for lifted[i0], lifted[i1] in program[2] if program else [(n0, n1)]:
             fed.append(slots.setdefault(tuple(lifted), len(slots)))
         steps.append((program, tuple(fed)))
     if len(reg) == 2:  # detecting every mode leaves no post-state
         return new_reg, tuple(slots), tuple(steps), None, ()
-    post_reg, level, kept = _readout_plan(new_reg, bs.out_modes)
-    groups: dict[tuple, list] = {}
-    for occ in slots:
-        groups.setdefault(level(occ), []).append((occ, kept(occ)))
-    clicks = _click_patterns(bs.out_modes)
-    readout = tuple((p, f, tuple(groups[p])) for p, f in _readout_order(clicks, groups))
+    post_reg, readout = _readout_groups(new_reg, bs.out_modes, slots)
     return new_reg, tuple(slots), tuple(steps), post_reg, readout
 
 
@@ -188,7 +166,9 @@ class QndConfig:
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _outcome_classes(theta: float, cutoff: int) -> tuple[tuple, tuple]:
     """The outcome classes of a probe at ``theta`` over counts 0..cutoff,
-    and the class of each count."""
+    and the class of each count; a non-finite angle is a ``ConfigError``."""
+    if not math.isfinite(theta):
+        raise ConfigError(f"probe angle must be finite, got {theta!r}")
     groups: list[tuple[float, set[int]]] = []
     for n in range(cutoff + 1):
         c = math.cos(n * theta)
@@ -257,30 +237,39 @@ def detect_single_photon(
     never merged with a single click.
     """
     det = tuple(detector_modes)
-    clicks = _click_patterns(det)
-    seen = state.partition(drop=det)
-    return [
-        DetectionOutcome(fired, pattern, *seen[pattern], flagged=sum(pattern) >= 2)
-        for pattern, fired in _readout_order(clicks, seen)
-    ]
+    post_reg, readout = _readout_groups(state.register, det, state.terms)
+    return _outcomes(post_reg, readout, state.terms)
 
 
-def _readout_order(clicks: tuple, seen: Collection[tuple]) -> list[tuple]:
-    """The patterns in ``seen`` as (pattern, fired detector): the ``clicks``
-    (single clicks, then no click), then the multi-photon patterns sorted."""
-    multi = [(p, None) for p in sorted(seen) if sum(p) >= 2]
-    return [(p, fired) for p, fired in (*clicks, *multi) if p in seen]
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _click_patterns(det: tuple[ModeId, ...]) -> tuple:
-    """The single-click patterns of detectors ``det``, each with the
-    detector that fires, in detector order, then the no-click pattern."""
+def _readout_groups(reg: ModeRegister, det: tuple[ModeId, ...], support) -> tuple:
+    """The register detectors ``det`` leave on ``reg`` and their readout of
+    the kets ``support``: per pattern seen, its fired detector and members,
+    as (ket, kept occupation) pairs.  Single clicks come first, in detector
+    order, then no click, then the multi-photon patterns sorted."""
     if len(set(det)) != len(det) or not det:
         raise ConfigError(f"detector modes must be distinct and nonempty: {det!r}")
+    post_reg, level, kept = _readout_plan(reg, det)
+    groups: dict[tuple, list] = {}
+    for occ in support:
+        groups.setdefault(level(occ), []).append((occ, kept(occ)))
     n = len(det)
-    singles = tuple((tuple(int(j == k) for j in range(n)), det[k]) for k in range(n))
-    return (*singles, ((0,) * n, None))
+    singles = [(tuple(int(j == k) for j in range(n)), det[k]) for k in range(n)]
+    multi = [(p, None) for p in sorted(groups) if sum(p) >= 2]
+    order = (*singles, ((0,) * n, None), *multi)
+    readout = ((p, f, tuple(groups[p])) for p, f in order if p in groups)
+    return post_reg, tuple(readout)
+
+
+def _outcomes(reg: ModeRegister, readout: tuple, kets: dict) -> list[DetectionOutcome]:
+    """The outcomes of ``readout`` on ``kets``, on ``reg``: each pattern's
+    members in ``kets``, renormalized; zero-probability ones left out."""
+    outcomes = []
+    for pattern, fired, members in readout:
+        prob, post = _renormalized({k: kets[o] for o, k in members if o in kets})
+        if prob > 0.0:
+            post_state, flagged = FockState._of(reg, post), sum(pattern) >= 2
+            outcomes.append(DetectionOutcome(fired, pattern, prob, post_state, flagged))
+    return outcomes
 
 
 def phase_flip(state: FockState, mode: ModeId) -> FockState:

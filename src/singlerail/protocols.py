@@ -33,10 +33,11 @@ from .errors import (
     RegisterError,
 )
 from .fock import DEFAULT_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
-from .fock import Occupation, _renormalized
+from .fock import Occupation, _count, _renormalized
 from .optics import (
     BeamSplitter,
     DetectionOutcome,
+    _outcomes,
     _outputs,
     phase_flip,
     qnd_measure,
@@ -309,13 +310,7 @@ def _readout(state: FockState, station: BeamSplitter) -> list[DetectionOutcome]:
     """The station's detector outcomes on ``state``, splitter then counting,
     as ``detect_single_photon`` reads them, from the station's slot plan."""
     (*_, post_register, readout), out = _outputs(state.register, station, state.terms)
-    outcomes = []
-    for pattern, fired, members in readout:
-        prob, post = _renormalized({k: out[o] for o, k in members if o in out})
-        if prob > 0.0:
-            post_state, flagged = FockState._of(post_register, post), sum(pattern) >= 2
-            outcomes.append(DetectionOutcome(fired, pattern, prob, post_state, flagged))
-    return outcomes
+    return _outcomes(post_register, readout, out)
 
 
 def _single_clicks(state: FockState, station: BeamSplitter) -> list[tuple]:
@@ -370,6 +365,7 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
     station and reads only the D1 outcome's kets.  The k-th entry spans k+1
     links, so its coefficient ratio is the input ratio to the power k+1.
     """
+    n_swaps = _count(n_swaps, "swap count")
     if n_swaps < 1:
         raise ConfigError(f"need at least one swap, got {n_swaps}")
     register, station = _station("swap", ("a", "b", "c", "d"))
@@ -550,6 +546,7 @@ def iterate_concentration(
     per attempt; with a generic QND angle nothing is recyclable and later
     rounds simply record zero attempts.
     """
+    rounds = _count(rounds, "round count")
     if rounds < 1:
         raise ConfigError(f"need at least one round, got {rounds}")
     entries = []
@@ -647,6 +644,7 @@ def run_monte_carlo(
     only stochastic element and is fully determined by ``seed``.
     Frequencies are aggregated per tag with binomial standard errors.
     """
+    trials = _count(trials, "trials")
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
     branches = concentration_round(

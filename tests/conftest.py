@@ -8,6 +8,11 @@ import pytest
 
 from singlerail import FockState, ModeRegister, SingleRailPair
 
+#: scales applied to a normalized random state: none, unnormalized,
+#: subnormal amplitudes (their squares underflow to 0), and the smallest
+#: subnormal, where products and interference underflow to exact zeros
+SCALES = (1.0, 37.5, 3e-310, 5e-324)
+
 
 def all_occupations(n_modes: int, cutoff: int):
     """Every occupation vector with total photon number <= cutoff."""

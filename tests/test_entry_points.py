@@ -1,0 +1,92 @@
+"""Public entry points refuse out-of-domain numbers with a ``ConfigError``.
+
+Every probe angle passes through ``optics._outcome_classes``, which
+refuses a non-finite one.  Every public count (trials, rounds, swaps, a
+round index) is read through ``fock._count``: floats and bools are
+refused, and an integer type such as ``numpy.int64`` gives the same
+results, ``repr`` included, as the equal ``int``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from singlerail import (
+    ConfigError,
+    FockState,
+    ModeRegister,
+    QndConfig,
+    compare_yield,
+    concentration_round,
+    iterate_concentration,
+    monte_carlo_yield,
+    qnd_measure,
+    run_monte_carlo,
+    swap_chain_trace,
+    yield_oracle,
+    yield_series,
+    yield_term,
+)
+from conftest import make_pair
+
+PAIR = make_pair(0.8, theta=0.3)
+LEDGER = iterate_concentration(PAIR, 3)
+
+
+def _pairs():
+    return PAIR.with_modes("a1", "b1"), PAIR.with_modes("a2", "b2")
+
+
+#: each public entry point that takes a probe angle, called at ``theta``
+ANGLE_ENTRY_POINTS = {
+    "outcome_classes": lambda theta: QndConfig(("b",), theta).outcome_classes(2),
+    "qnd_measure": lambda theta: qnd_measure(
+        FockState(ModeRegister(("a", "b")), {(1, 0): 0.6, (0, 1): 0.8}),
+        QndConfig(("b",), theta),
+    ),
+    "concentration_round": lambda theta: concentration_round(*_pairs(), theta),
+    "iterate_concentration": lambda theta: iterate_concentration(PAIR, 3, theta),
+    "run_monte_carlo": lambda theta: run_monte_carlo(PAIR, 100, theta),
+    "yield_oracle": lambda theta: yield_oracle(PAIR.alpha, PAIR.beta, 3, theta),
+    "compare_yield": lambda theta: compare_yield(PAIR.alpha, PAIR.beta, 3, theta),
+}
+
+#: each public entry point that takes a count, called with count ``n``
+COUNT_ENTRY_POINTS = {
+    "monte_carlo_yield": lambda n: monte_carlo_yield(LEDGER, n, seed=3),
+    "run_monte_carlo": lambda n: run_monte_carlo(PAIR, n, seed=3),
+    "iterate_concentration": lambda n: iterate_concentration(PAIR, n),
+    "swap_chain_trace": lambda n: swap_chain_trace(PAIR, n),
+    "yield_oracle": lambda n: yield_oracle(PAIR.alpha, PAIR.beta, n),
+    "compare_yield": lambda n: compare_yield(PAIR.alpha, PAIR.beta, n),
+    "yield_series": lambda n: yield_series(PAIR.alpha, PAIR.beta, n),
+    "yield_term": lambda n: yield_term(PAIR.alpha, PAIR.beta, n),
+}
+
+
+class TestNonFiniteProbeAngles:
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+    def test_are_config_errors(self, entry, theta):
+        with pytest.raises(ConfigError, match="probe angle must be finite"):
+            ANGLE_ENTRY_POINTS[entry](theta)
+
+    @pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+    def test_finite_angles_still_run(self, entry):
+        for theta in (math.pi, 1.0, -2.5):
+            ANGLE_ENTRY_POINTS[entry](theta)
+
+
+class TestCountsAreIntegers:
+    @pytest.mark.parametrize("value", [10.5, 3.0, True, False])
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_floats_and_bools_are_config_errors(self, entry, value):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            COUNT_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_numpy_integers_give_the_same_repr(self, entry):
+        call = COUNT_ENTRY_POINTS[entry]
+        for n in (1, 5):
+            assert repr(call(np.int64(n))) == repr(call(n))

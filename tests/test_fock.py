@@ -260,16 +260,6 @@ class TestProjection:
         s = FockState(reg, {(1, 0): 1.0, (0, 1): 1e-200})
         assert list(s.partition(lambda occ: occ[1])) == [0]
 
-    def test_partition_drop_not_fixed_by_key_is_rejected(self):
-        # a key together with dropped modes is refused, whether or not the
-        # key fixes the dropped level
-        reg = ModeRegister(("a", "b"))
-        s = FockState(reg, {(1, 0): 1.0, (0, 1): 1.0}).normalize()
-        with pytest.raises(ConfigError):
-            s.partition(lambda occ: sum(occ), drop=("b",))
-        with pytest.raises(ConfigError):
-            s.partition(lambda occ: occ[1], drop=("b",))
-
 
 class TestRegisterSurgery:
     def test_align_to_permutes(self):
