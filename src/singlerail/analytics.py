@@ -72,8 +72,6 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     them.
     """
     n = _count(n, "round index")
-    if n < 1:
-        raise ConfigError(f"round index starts at 1, got {n}")
     x = abs(alpha) ** 2
     y = abs(beta) ** 2
     ab_sq = x * y  # |alpha * beta|^2
@@ -132,8 +130,6 @@ def _probe_actions(qnd_theta: float) -> set[str]:
 def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> tuple:
     """Domain checks; the round count and exact start weight x of both oracle paths."""
     n_rounds = _count(n_rounds, "round count")
-    if n_rounds < 1:
-        raise ConfigError(f"need at least one round, got {n_rounds}")
     if n_rounds > MAX_ORACLE_ROUNDS:
         raise CapacityError(
             f"oracle enumerates at most {MAX_ORACLE_ROUNDS} rounds "
@@ -232,8 +228,7 @@ def monte_carlo_yield(
     only stochastic element and are fully determined by ``seed``.
     """
     trials = _count(trials, "trials")
-    if trials < 1:
-        raise ConfigError(f"need at least one source pair, got {trials}")
+    seed = _count(seed, "seed", 0)
     import numpy as np  # deferred: only a run that draws pays the import
 
     rng = np.random.default_rng(seed)

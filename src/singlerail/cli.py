@@ -31,6 +31,7 @@ from .analytics import (
     monte_carlo_yield,
 )
 from .errors import ConfigError, SingleRailError
+from .fock import _count
 from .protocols import (
     SingleRailPair,
     SourceParams,
@@ -116,16 +117,6 @@ def _as_angle(value, key: str) -> float:
     raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
 
 
-def _as_int(value, key: str, minimum: int, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{key} must be <= {maximum}, got {value}")
-    return value
-
-
 def load_config(path: str) -> dict:
     """Read the flat key/value config document (a one-level JSON object)."""
     try:
@@ -162,13 +153,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.qnd_theta = _as_angle(merged["qnd_theta"], "qnd_theta")
     if "rounds" in merged:
         # the exact oracle enumerates at most this many rounds
-        cfg.rounds = _as_int(merged["rounds"], "rounds", 1, MAX_ORACLE_ROUNDS)
+        cfg.rounds = _count(merged["rounds"], "rounds", 1, MAX_ORACLE_ROUNDS)
     if "swap_depth" in merged:
-        cfg.swap_depth = _as_int(merged["swap_depth"], "swap_depth", 1, MAX_SWAP_DEPTH)
+        cfg.swap_depth = _count(merged["swap_depth"], "swap_depth", 1, MAX_SWAP_DEPTH)
     if "trials" in merged:
-        cfg.trials = _as_int(merged["trials"], "trials", 0, MAX_TRIALS)
+        cfg.trials = _count(merged["trials"], "trials", 0, MAX_TRIALS)
     if "seed" in merged:
-        cfg.seed = _as_int(merged["seed"], "seed", 0)
+        cfg.seed = _count(merged["seed"], "seed", 0)
     for key in ("trials", "seed"):
         value = getattr(cfg, key)
         if value and args.command not in _SAMPLING_COMMANDS:

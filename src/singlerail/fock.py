@@ -45,11 +45,17 @@ Occupation = tuple[int, ...]
 Grouping = Callable[[Occupation], Hashable]
 
 
-def _count(value: object, what: str) -> int:
-    """An exact integer read through ``operator.index``; bools are refused."""
+def _count(value: object, what: str, least: int = 1, most: int | None = None) -> int:
+    """An exact integer in ``[least, most]`` read through ``operator.index``;
+    bools are refused."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
+    n = operator.index(value)
+    if n < least:
+        raise ConfigError(f"{what} must be >= {least}, got {n}")
+    if most is not None and n > most:
+        raise ConfigError(f"{what} must be <= {most}, got {n}")
+    return n
 
 
 def _weight(amps: Iterable[complex]) -> float:
@@ -96,8 +102,6 @@ class ModeRegister:
         if len(set(names)) != len(names):
             raise RegisterError(f"duplicate mode names in {names!r}")
         cutoff = _count(cutoff, "photon cutoff")
-        if cutoff < 1:
-            raise ConfigError(f"photon cutoff must be positive, got {cutoff}")
         self.names = names
         self.cutoff = cutoff
         self._index = {name: i for i, name in enumerate(names)}
@@ -156,13 +160,11 @@ class FockState:
         width = len(register)
         checked: dict[Occupation, complex] = {}
         for occ, amp in terms.items():
-            occ = tuple(_count(n, "occupation") for n in occ)
+            occ = tuple(_count(n, "occupation", 0) for n in occ)
             if len(occ) != width:
                 raise RegisterError(
                     f"occupation {occ!r} does not fit register {register!r}"
                 )
-            if any(n < 0 for n in occ):
-                raise ConfigError(f"negative occupation in {occ!r}")
             if sum(occ) > register.cutoff:
                 raise CapacityError(
                     f"occupation {occ!r} exceeds cutoff {register.cutoff}"

@@ -70,6 +70,8 @@ class SourceParams:
         for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
             if not 0.0 < p < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {p!r}")
+        if not math.isfinite(self.theta_ab):
+            raise ConfigError(f"theta_ab must be finite, got {self.theta_ab!r}")
 
 
 def _past_float_max() -> ConfigError:
@@ -366,8 +368,6 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
     links, so its coefficient ratio is the input ratio to the power k+1.
     """
     n_swaps = _count(n_swaps, "swap count")
-    if n_swaps < 1:
-        raise ConfigError(f"need at least one swap, got {n_swaps}")
     register, station = _station("swap", ("a", "b", "c", "d"))
     current, trace = pair, []
     for _ in range(n_swaps):
@@ -547,8 +547,6 @@ def iterate_concentration(
     rounds simply record zero attempts.
     """
     rounds = _count(rounds, "round count")
-    if rounds < 1:
-        raise ConfigError(f"need at least one round, got {rounds}")
     entries = []
     current: SingleRailPair | None = pair
     names = pair.mode_a, pair.mode_b
@@ -645,8 +643,7 @@ def run_monte_carlo(
     Frequencies are aggregated per tag with binomial standard errors.
     """
     trials = _count(trials, "trials")
-    if trials < 1:
-        raise ConfigError(f"need at least one trial, got {trials}")
+    seed = _count(seed, "seed", 0)
     branches = concentration_round(
         pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
     )

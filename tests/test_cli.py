@@ -95,6 +95,23 @@ class TestConfigHandling:
         assert out == ""
         assert "config error" in err and "rounds" in err
 
+    @pytest.mark.parametrize(
+        "command,key,value,message",
+        [
+            ("yield", "rounds", 0, "rounds must be >= 1, got 0"),
+            ("yield", "rounds", 17, "rounds must be <= 16, got 17"),
+            ("yield", "rounds", 1.5, "rounds must be an integer, got 1.5"),
+            ("yield", "rounds", True, "rounds must be an integer, got True"),
+            ("swap-chain", "swap_depth", 0, "swap_depth must be >= 1, got 0"),
+            ("concentrate", "trials", -1, "trials must be >= 0, got -1"),
+            ("concentrate", "seed", -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_integer_errors_are_pinned(self, tmp_path, capsys, command, key, value, message):
+        cfg = write_config(tmp_path, **{key: value})
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert (code, out, err) == (1, "", f"config error: {message}\n")
+
     @pytest.mark.parametrize("command", ["yield", "swap-chain"])
     def test_trials_on_command_that_samples_nothing(self, tmp_path, capsys, command):
         code, out, err = run_cli([command, "--trials", "1000", "--seed", "3"], capsys)

@@ -1,22 +1,28 @@
 """Public entry points refuse out-of-domain numbers with a ``ConfigError``.
 
 Every probe angle passes through ``optics._outcome_classes``, which
-refuses a non-finite one.  Every public count (trials, rounds, swaps, a
-round index) is read through ``fock._count``: floats and bools are
-refused, and an integer type such as ``numpy.int64`` gives the same
-results, ``repr`` included, as the equal ``int``.
+refuses a non-finite one, and ``SourceParams`` refuses a non-finite
+``theta_ab``.  Every public count (trials, rounds, swaps, a round index)
+and seed is read through ``fock._count``: floats, bools and strings are
+refused, a count below 1 or a seed below 0 is refused, and an integer
+type such as ``numpy.int64`` gives the same results, ``repr`` included,
+as the equal ``int``.  A guard walks ``singlerail.__all__`` so that a new
+public count or seed parameter cannot skip these tables.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import singlerail
 from singlerail import (
     ConfigError,
     FockState,
     ModeRegister,
     QndConfig,
+    SourceParams,
     compare_yield,
     concentration_round,
     iterate_concentration,
@@ -64,6 +70,17 @@ COUNT_ENTRY_POINTS = {
     "yield_term": lambda n: yield_term(PAIR.alpha, PAIR.beta, n),
 }
 
+#: each public entry point that takes a seed, called with seed ``s``
+SEED_ENTRY_POINTS = {
+    "monte_carlo_yield": lambda s: monte_carlo_yield(LEDGER, 100, seed=s),
+    "run_monte_carlo": lambda s: run_monte_carlo(PAIR, 100, seed=s),
+}
+
+#: parameter names that carry a count or a seed
+COUNT_OR_SEED_PARAMETERS = {"trials", "rounds", "n_rounds", "n_swaps", "n", "seed"}
+#: result records whose fields echo the counts their producer read
+RESULT_RECORDS = {"MonteCarloStats"}
+
 
 class TestNonFiniteProbeAngles:
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
@@ -90,3 +107,41 @@ class TestCountsAreIntegers:
         call = COUNT_ENTRY_POINTS[entry]
         for n in (1, 5):
             assert repr(call(np.int64(n))) == repr(call(n))
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_counts_below_one_are_config_errors(self, entry, value):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            COUNT_ENTRY_POINTS[entry](value)
+
+
+class TestSeedsAreIntegers:
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "3"])
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+    def test_bad_seeds_are_config_errors(self, entry, value):
+        with pytest.raises(ConfigError, match="seed must be"):
+            SEED_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+    def test_numpy_integers_give_the_same_repr(self, entry):
+        call = SEED_ENTRY_POINTS[entry]
+        assert repr(call(np.int64(7))) == repr(call(7))
+
+
+@pytest.mark.parametrize("theta_ab", [math.inf, -math.inf, math.nan])
+def test_non_finite_source_phase_is_a_config_error(theta_ab):
+    with pytest.raises(ConfigError, match="theta_ab must be finite"):
+        SourceParams(0.1, 0.2, theta_ab)
+
+
+def test_every_public_count_and_seed_is_in_a_table():
+    params = {
+        name: set(inspect.signature(obj).parameters) & COUNT_OR_SEED_PARAMETERS
+        for name in singlerail.__all__
+        for obj in [getattr(singlerail, name)]
+        if callable(obj)
+        and not (inspect.isclass(obj) and issubclass(obj, Exception))
+        and name not in RESULT_RECORDS
+    }
+    assert {n for n, p in params.items() if p - {"seed"}} == set(COUNT_ENTRY_POINTS)
+    assert {n for n, p in params.items() if "seed" in p} == set(SEED_ENTRY_POINTS)

@@ -267,32 +267,6 @@ class TestPlanCachesAreBounded:
                 results.add((_exact(out), _exact(kept)))
         assert len(results) == 1  # same amplitudes whatever the mode names
 
-    def test_readout_plans_stay_within_the_bound(self):
-        occs = ((1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1))
-        results = set()
-        for _sweep in range(2):  # the second sweep recomputes evicted plans
-            for k in range(PLAN_CACHE_SIZE + 40):
-                a, b = f"a{k}", f"b{k}"
-                reg = ModeRegister((a, "c", b))
-                s = FockState(reg, {(1, 0, 0): 0.6, (0, 0, 1): 0.8j})
-                outs = detect_single_photon(s, (b, a))
-                kept = s.without_modes(("c",))
-                # slot getters compare by identity: compare what they read
-                for drop, names, levels, keeps in (
-                    (("c",), (a, b), [(0,), (1,), (0,), (0,)], [(1, 0), (0, 0), (0, 2), (1, 1)]),
-                    ((b, a), ("c",), [(0, 1), (0, 0), (2, 0), (1, 1)], [(0,), (1,), (0,), (0,)]),
-                ):
-                    plan = _readout_plan(reg, drop)
-                    assert plan[0] == ModeRegister(names)
-                    assert [plan[1](o) for o in occs] == levels
-                    assert [plan[2](o) for o in occs] == keeps
-                assert kept.register.names == (a, b)
-                assert [o.post_state.register.names for o in outs] == [("c",)] * 2
-                results.add(repr([(o.pattern, o.probability, _exact(o.post_state)) for o in outs]))
-                results.add(_exact(kept))
-        assert len(results) == 2  # same amplitudes whatever the mode names
-
-
     def test_slot_plans_stay_within_the_bound(self):
         assert _slot_plan.cache_info().maxsize == PLAN_CACHE_SIZE
         _, station = _station("swap", REG.names)
@@ -332,6 +306,33 @@ class TestPlanCachesAreBounded:
                     )
                 )
         assert len(results) == 1  # same branches whatever the mode names
+
+
+class TestReadoutPlans:
+    def test_agree_with_detection_under_any_mode_names(self):
+        occs = ((1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 1))
+        results = set()
+        for _sweep in range(2):  # the second sweep recomputes evicted plans
+            for k in range(PLAN_CACHE_SIZE + 40):
+                a, b = f"a{k}", f"b{k}"
+                reg = ModeRegister((a, "c", b))
+                s = FockState(reg, {(1, 0, 0): 0.6, (0, 0, 1): 0.8j})
+                outs = detect_single_photon(s, (b, a))
+                kept = s.without_modes(("c",))
+                # slot getters compare by identity: compare what they read
+                for drop, names, levels, keeps in (
+                    (("c",), (a, b), [(0,), (1,), (0,), (0,)], [(1, 0), (0, 0), (0, 2), (1, 1)]),
+                    ((b, a), ("c",), [(0, 1), (0, 0), (2, 0), (1, 1)], [(0,), (1,), (0,), (0,)]),
+                ):
+                    plan = _readout_plan(reg, drop)
+                    assert plan[0] == ModeRegister(names)
+                    assert [plan[1](o) for o in occs] == levels
+                    assert [plan[2](o) for o in occs] == keeps
+                assert kept.register.names == (a, b)
+                assert [o.post_state.register.names for o in outs] == [("c",)] * 2
+                results.add(repr([(o.pattern, o.probability, _exact(o.post_state)) for o in outs]))
+                results.add(_exact(kept))
+        assert len(results) == 2  # same amplitudes whatever the mode names
 
 
 def test_every_lru_cache_in_the_package_is_bounded():
