@@ -30,9 +30,10 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
+from numbers import Number
 
 from .errors import CapacityError, ConfigError
-from .fock import _count
+from .fock import _count, _shown, _weight
 from .optics import _outcome_classes
 from .protocols import (
     KEEP,
@@ -61,6 +62,15 @@ def _balance_ratio(x: float, y: float, power: int) -> float:
     return r / (1.0 + r) ** 2
 
 
+def _moduli(alpha: complex, beta: complex) -> list[float]:
+    """|alpha| and |beta|, read alike for the closed form and the oracle:
+    finite numbers whose squares, summed, fit a float (``fock._weight``)."""
+    numbers = isinstance(alpha, Number) and isinstance(beta, Number)
+    if not (numbers and math.isfinite(_weight((alpha, beta)))):
+        raise ConfigError(f"alpha, beta must be finite numbers: {alpha!r}, {beta!r}")
+    return [abs(complex(alpha)), abs(complex(beta))]
+
+
 def yield_term(alpha: complex, beta: complex, n: int) -> float:
     """Closed-form yield of round ``n`` per source pair.
 
@@ -72,8 +82,16 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     them.
     """
     n = _count(n, "round index")
-    x = abs(alpha) ** 2
-    y = abs(beta) ** 2
+    return _term(*(m**2 for m in _moduli(alpha, beta)), n)
+
+
+def yield_series(alpha: complex, beta: complex, n_rounds: int) -> list[float]:
+    n_rounds = _count(n_rounds, "round count")
+    x, y = (m**2 for m in _moduli(alpha, beta))  # read once per series
+    return [_term(x, y, n) for n in range(1, n_rounds + 1)]
+
+
+def _term(x: float, y: float, n: int) -> float:  # x = |alpha|**2, y = |beta|**2
     ab_sq = x * y  # |alpha * beta|^2
     if n == 1:
         return ab_sq
@@ -93,11 +111,6 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
         * bracket
         * _balance_ratio(x, y, 2 ** (n - 1))
     )
-
-
-def yield_series(alpha: complex, beta: complex, n_rounds: int) -> list[float]:
-    n_rounds = _count(n_rounds, "round count")
-    return [yield_term(alpha, beta, n) for n in range(1, n_rounds + 1)]
 
 
 @dataclass(frozen=True)
@@ -133,10 +146,9 @@ def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> tuple:
     if n_rounds > MAX_ORACLE_ROUNDS:
         raise CapacityError(
             f"oracle enumerates at most {MAX_ORACLE_ROUNDS} rounds "
-            f"(2**n source pairs feed round n), got {n_rounds}"
+            f"(2**n source pairs feed round n), got {_shown(n_rounds)}"
         )
-    a_sq = Fraction(float(abs(alpha))) ** 2
-    b_sq = Fraction(float(abs(beta))) ** 2
+    a_sq, b_sq = (Fraction(m) ** 2 for m in _moduli(alpha, beta))
     if a_sq + b_sq == 0:
         raise ConfigError("alpha and beta cannot both vanish")
     return n_rounds, a_sq / (a_sq + b_sq)
@@ -245,20 +257,20 @@ def monte_carlo_yield(
         p_recycle = entry.recycle_probability
         p_fail = max(0.0, 1.0 - p_success - p_recycle)
         pvals = np.array([p_success, p_recycle, p_fail], dtype=float)
-        successes, recycles, _ = rng.multinomial(attempts, pvals / pvals.sum())
+        successes, recycles, _ = rng.multinomial(attempts, pvals / pvals.sum()).tolist()
         p_hat = successes / attempts
         out.append(
             MonteCarloRound(
                 round_index=n,
                 attempts=attempts,
-                successes=int(successes),
+                successes=successes,
                 estimate=successes / trials,
                 stderr=math.sqrt(p_hat * (1.0 - p_hat) / attempts)
                 * attempts
                 / trials,
             )
         )
-        population = int(recycles)
+        population = recycles
     return out
 
 

@@ -18,8 +18,8 @@ Conventions enforced here:
 * only exact zeros are dropped, so a walk follows the exact weights down
   to underflow; a QND or projective readout is one ``partition`` pass;
 * public input is validated once: ``FockState(register, terms)`` checks
-  every ket; operation results go through the trusted ``FockState._of``,
-  which only rejects non-finite amplitudes and drops exact zeros.
+  every ket, ``create``'s and ``tensor``'s too; other results come from
+  the trusted ``FockState._of``: finite amplitudes, exact zeros dropped.
 """
 
 from __future__ import annotations
@@ -51,11 +51,19 @@ def _count(value: object, what: str, least: int = 1, most: int | None = None) ->
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     n = operator.index(value)
-    if n < least:
-        raise ConfigError(f"{what} must be >= {least}, got {n}")
-    if most is not None and n > most:
-        raise ConfigError(f"{what} must be <= {most}, got {n}")
+    if n < least or most is not None and n > most:
+        bound = f">= {least}" if n < least else f"<= {most}"
+        raise ConfigError(f"{what} must be {bound}, got {_shown(n)}")
     return n
+
+
+def _shown(n: int) -> str:
+    """``str(n)``, or its sign and rough length where ``str`` refuses it."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = round(n.bit_length() * math.log10(2))
+        return f"a {'negative' if n < 0 else 'positive'} integer of ~{digits} digits"
 
 
 def _weight(amps: Iterable[complex]) -> float:
@@ -149,7 +157,7 @@ class FockState:
     intermediate vectors (e.g. after a creation operator) are
     legitimately unnormalized.  Occupations are read with
     ``operator.index`` (no bools, no two keys naming one occupation);
-    operation results skip these checks through ``_of``.  Norms and
+    most operation results skip these checks through ``_of``.  Norms and
     readouts square amplitudes: past |amplitude| ~ 1.34e154, whose square
     is the largest float, they raise ``ConfigError``.
     """
@@ -218,11 +226,6 @@ class FockState:
         i = self.register.index(mode)
         out: dict[Occupation, complex] = {}
         for occ, amp in self.terms.items():
-            if sum(occ) + 1 > self.register.cutoff:
-                raise CapacityError(
-                    f"creation on {mode!r} would exceed cutoff "
-                    f"{self.register.cutoff} from {occ!r}"
-                )
             lifted = occ[:i] + (occ[i] + 1,) + occ[i + 1:]
             out[lifted] = amp * math.sqrt(occ[i] + 1)
         return FockState(self.register, out)
@@ -239,21 +242,16 @@ class FockState:
         """Product state on the concatenated register.
 
         Mode names must be disjoint; the combined cutoff is the larger of
-        the two operands' cutoffs.
+        the two operands' cutoffs, which the validating constructor enforces.
         """
-        overlap = set(self.register.names) & set(other.register.names)
-        if overlap:
-            raise RegisterError(f"tensor operands share mode names {sorted(overlap)!r}")
         cutoff = max(self.register.cutoff, other.register.cutoff)
         reg = ModeRegister(self.register.names + other.register.names, cutoff)
-        out: dict[Occupation, complex] = {}
-        for occ_l, amp_l in self.terms.items():
-            for occ_r, amp_r in other.terms.items():
-                occ = occ_l + occ_r
-                if sum(occ) > cutoff:
-                    raise CapacityError(f"occupation {occ!r} exceeds cutoff {cutoff}")
-                out[occ] = amp_l * amp_r
-        return FockState._of(reg, out)
+        out = {
+            occ_l + occ_r: amp_l * amp_r
+            for occ_l, amp_l in self.terms.items()
+            for occ_r, amp_r in other.terms.items()
+        }
+        return FockState(reg, out)
 
     # -- measurement-style operations ---------------------------------------
 
@@ -324,11 +322,8 @@ class FockState:
         """
         for old in mapping:
             self.register.index(old)  # raises RegisterError on unknown names
-        new_names = tuple(mapping.get(n, n) for n in self.register.names)
-        if len(set(new_names)) != len(new_names):
-            raise RegisterError(f"relabeling {mapping!r} is not a bijection")
-        reg = ModeRegister(new_names, self.register.cutoff)
-        return FockState._of(reg, self.terms)
+        names = (mapping.get(n, n) for n in self.register.names)
+        return FockState._of(ModeRegister(names, self.register.cutoff), self.terms)
 
     def without_modes(self, modes: Iterable[ModeId]) -> "FockState":
         """Drop modes that sit in one definite Fock level across all terms.

@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -68,7 +69,7 @@ class SourceParams:
 
     def __post_init__(self):
         for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not 0.0 < p < 1.0:
+            if not (isinstance(p, Real) and 0.0 < p < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {p!r}")
         if not math.isfinite(self.theta_ab):
             raise ConfigError(f"theta_ab must be finite, got {self.theta_ab!r}")
@@ -291,8 +292,6 @@ def _station(step: str, modes: tuple[ModeId, ...]) -> tuple:
     the plus port, is D1.  A swap meets b and c, so D1 is b's port;
     concentration, and recycling, meet c and d (the second pair), so D1 is
     c's port.  Both wire c to the minus input."""
-    if len(set(modes)) != 4:
-        raise RegisterError(f"{step} needs four distinct modes, got {modes!r}")
     meet = modes[1:3] if step == "swap" else modes[2:]
     return ModeRegister(modes), BeamSplitter(meet, meet, minus_input=modes[2])
 
@@ -304,8 +303,11 @@ def _joint(p: SingleRailPair, q: SingleRailPair) -> dict[Occupation, complex]:
     return {k: amp for k, amp in zip(kets, (a * c, a * d, b * c, b * d)) if amp}
 
 
-def _label(station: BeamSplitter, detector: ModeId) -> str:
-    return "D1" if detector == station.out_modes[0] else "D2"
+def _label(station: BeamSplitter, outcome: DetectionOutcome) -> str:
+    """The detector of an outcome that brings the station one photon."""
+    if outcome.fired is None:
+        raise ContractError(f"impossible pattern {outcome.pattern!r} for one photon")
+    return "D1" if outcome.fired == station.out_modes[0] else "D2"
 
 
 def _readout(state: FockState, station: BeamSplitter) -> list[DetectionOutcome]:
@@ -313,17 +315,6 @@ def _readout(state: FockState, station: BeamSplitter) -> list[DetectionOutcome]:
     as ``detect_single_photon`` reads them, from the station's slot plan."""
     (*_, post_register, readout), out = _outputs(state.register, station, state.terms)
     return _outcomes(post_register, readout, out)
-
-
-def _single_clicks(state: FockState, station: BeamSplitter) -> list[tuple]:
-    """The station on a state that brings it one photon: (label, outcome)
-    per detector that fires."""
-    clicks = []
-    for click in _readout(state, station):
-        if click.fired is None:
-            raise ContractError(f"impossible pattern {click.pattern!r} for one photon")
-        clicks.append((_label(station, click.fired), click))
-    return clicks
 
 
 def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResult]:
@@ -345,7 +336,7 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     for outcome in _readout(FockState._of(register, _joint(pair_ab, pair_cd)), station):
         success = outcome.fired is not None
         if success:
-            label = _label(station, outcome.fired)
+            label = _label(station, outcome)
         elif outcome.photons_seen == 0:
             label = "no-click"
         else:
@@ -453,7 +444,8 @@ def concentration_round(
                 ProtocolResult(tag, herald, reading.probability, reading.post_state)
             )
             continue
-        for label, click in _single_clicks(reading.post_state, station):
+        for click in _readout(reading.post_state, station):
+            label = _label(station, click)
             herald = Herald(
                 events=(qnd_event, HeraldEvent("detector", label, click.probability)),
                 qnd_class=reading.outcome_class,
@@ -488,8 +480,8 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     # D2, b2's port, so the D2 branch picks up the '-' sign
     reduced: dict[str, SingleRailPair] = {}
     _, station = _station("concentration", state.register.names)
-    for label, click in _single_clicks(state, station):
-        post = click.post_state
+    for click in _readout(state, station):
+        label, post = _label(station, click), click.post_state
         if label == "D2":
             post = phase_flip(post, state.register.names[1])
         reduced[label] = _pair_from_state(post)
@@ -661,7 +653,7 @@ def run_monte_carlo(
     expected: dict[str, float] = {}
     for res, n_hits in zip(branches, counts):
         tag = res.tag.value
-        frequencies[tag] = frequencies.get(tag, 0.0) + n_hits / trials
+        frequencies[tag] = frequencies.get(tag, 0.0) + int(n_hits) / trials
         expected[tag] = expected.get(tag, 0.0) + res.probability
     stderrs = {
         tag: math.sqrt(f * (1.0 - f) / trials) for tag, f in frequencies.items()

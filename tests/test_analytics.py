@@ -58,6 +58,20 @@ class TestYieldTerm:
         series = yield_series(a, b, 5)
         assert series == [yield_term(a, b, n) for n in range(1, 6)]
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [math.nan, math.inf, -math.inf, "0.6", None, 1e200, 10**400],
+        ids=["nan", "inf", "-inf", "string", "none", "square-overflows", "huge-int"],
+    )
+    def test_bad_coefficients_refused_like_the_oracle(self, alpha):
+        # formula and oracle read the moduli alike: one class, one wording
+        messages = set()
+        for call in (yield_term, yield_series, yield_oracle, compare_yield):
+            with pytest.raises(ConfigError) as excinfo:
+                call(alpha, 0.8, 3)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+
     def test_deep_terms_do_not_overflow(self):
         a, b = coeffs(0.9)
         for n in range(1, 17):
@@ -78,8 +92,20 @@ class TestYieldOracle:
             ((INV_SQRT2, INV_SQRT2, 0), ConfigError),
             ((INV_SQRT2, INV_SQRT2, 17), CapacityError),
             ((0.0, 0.0, 3), ConfigError),
+            ((math.nan, INV_SQRT2, 3), ConfigError),
+            ((INV_SQRT2, math.inf, 3), ConfigError),
+            (("0.6", 0.8, 3), ConfigError),
+            ((1e200, 1e200, 3), ConfigError),
         ],
-        ids=["no-rounds", "above-cap", "both-amplitudes-zero"],
+        ids=[
+            "no-rounds",
+            "above-cap",
+            "both-amplitudes-zero",
+            "nan-alpha",
+            "inf-beta",
+            "string-alpha",
+            "squares-overflow",
+        ],
     )
     def test_domain_shared_with_compare_yield(self, args, error):
         messages = []
@@ -88,6 +114,10 @@ class TestYieldOracle:
                 fn(*args)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
+
+    def test_round_count_too_long_for_str_is_named_by_length(self):
+        with pytest.raises(CapacityError, match="got a positive integer of ~5000 digits"):
+            yield_oracle(INV_SQRT2, INV_SQRT2, 10**5000)
 
     def test_balanced_exact_fractions(self):
         rounds = yield_oracle(INV_SQRT2, INV_SQRT2, 4)
@@ -424,6 +454,13 @@ class TestMonteCarloYield:
         rounds = monte_carlo_yield(ledger, 20_000, seed=1)
         assert [m.round_index for m in rounds] == [1, 2]
         assert rounds[0].attempts == 10_000
+
+    def test_reports_plain_numbers(self):
+        rounds = monte_carlo_yield(iterate_concentration(make_pair(0.8), 3), 100, seed=3)
+        for m in rounds:
+            assert type(m.successes) is int
+            assert type(m.estimate) is float and type(m.stderr) is float
+        assert "np." not in repr(rounds)
 
 
 class TestEntanglementRatio:

@@ -62,6 +62,31 @@ class TestConfigHandling:
         assert code == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"rounds": 1' + b"0" * 5000 + b"}",  # past Python's 4300-digit str limit
+            b'\xff{"rounds": 3}',  # not UTF-8
+        ],
+        ids=["integer-too-long-for-str", "not-utf-8"],
+    )
+    def test_unreadable_json_is_a_config_error(self, tmp_path, capsys, text):
+        # written by hand: json.dumps writes neither
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        code, out, err = run_cli(["yield", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"config error: config file {str(path)!r} is not valid JSON")
+
+    def test_non_number_in_a_list_is_pinned(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=[0.3, "x"])
+        code, out, err = run_cli(["yield", "--config", cfg], capsys)
+        assert (code, out, err) == (
+            1,
+            "",
+            "config error: alpha_sq entries must be numbers, got 'x'\n",
+        )
+
     def test_unknown_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_cubed=0.5)
         code, _, err = run_cli(["yield", "--config", cfg], capsys)
@@ -300,6 +325,16 @@ class TestGenerate:
         assert peak < 32 * 2**20
         _, rows = parse_csv(out)
         assert [r["herald_freq"] for r in rows] == freqs
+
+    def test_one_p_a_is_broadcast_over_p_b(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, p_a=0.016, p_b=[0.01, 0.004])
+        code, out, _ = run_cli(["generate", "--config", cfg], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["p_a"], r["p_b"]) for r in rows] == [
+            ("0.016", "0.01"),
+            ("0.016", "0.004"),
+        ]
 
     def test_grid_length_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, p_a=[0.01, 0.02, 0.03], p_b=[0.01, 0.02])

@@ -6,7 +6,9 @@ non-object documents.  ``main()`` must return 0 or 1 (never 2, never an
 uncaught exception) within a time budget per example.  Valid ``trials``,
 ``swap_depth`` and ``rounds`` stay small, so a run that is accepted is
 also short.  The only warning a run may emit is the documented
-``ParameterWarning`` of ``generate`` for ``p_a + p_b >= 1``.
+``ParameterWarning`` of ``generate`` for ``p_a + p_b >= 1``.  A short
+list of raw config texts, which ``json.dumps`` never writes, goes through
+the same checks.
 """
 
 import contextlib
@@ -69,6 +71,14 @@ VALID = {
 }
 #: out-of-range values of the capped counts, next to the generic junk
 PAST_CAPS = {"swap_depth": MAX_SWAP_DEPTH + 1, "trials": MAX_TRIALS + 1, "rounds": 17}
+#: config texts the generator cannot write: integers past Python's
+#: 4300-digit ``str`` limit, a document cut off mid-number, bad UTF-8
+RAW_CONFIGS = {
+    "rounds-too-long-for-str": b'{"rounds": 1' + b"0" * 5000 + b"}",
+    "negative-seed-too-long-for-str": b'{"seed": -' + b"9" * 5000 + b"}",
+    "cut-off-mid-number": b'{"alpha_sq": [0.3, 0.',
+    "not-utf-8": b'{"alpha_sq": 0.3, "output": "\xff"}',
+}
 
 
 @st.composite
@@ -93,8 +103,12 @@ def documents(draw):
 def run(command: str, document, directory: pathlib.Path):
     if isinstance(document, dict) and isinstance(document.get("output"), str):
         document = {**document, "output": str(directory / document["output"])}
+    return run_text(command, json.dumps(document).encode("utf-8"), directory)
+
+
+def run_text(command: str, text: bytes, directory: pathlib.Path):
     config = directory / "config.json"
-    config.write_text(json.dumps(document), encoding="utf-8")
+    config.write_bytes(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         t0 = time.perf_counter()
@@ -103,20 +117,33 @@ def run(command: str, document, directory: pathlib.Path):
     return code, out.getvalue(), err.getvalue(), elapsed
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(COMMANDS), documents())
-def test_every_config_is_a_table_or_a_config_error(command, document):
+def check_table_or_config_error(command: str, run_config) -> None:
+    """``run_config(directory)`` in a scratch directory ends in a table or
+    a config error, in time, warning only as documented."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(
         record=True
     ) as caught:
         warnings.simplefilter("always")
-        code, out, err, elapsed = run(command, document, pathlib.Path(tmp))
+        code, out, err, elapsed = run_config(pathlib.Path(tmp))
     assert code in (0, 1), err
     assert elapsed < BUDGET_S
     if code == 1:
         assert err.startswith("config error: ") and out == ""
     for w in caught:
         assert w.category is ParameterWarning and command == "generate", w.message
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(COMMANDS), documents())
+def test_every_config_is_a_table_or_a_config_error(command, document):
+    check_table_or_config_error(command, lambda tmp: run(command, document, tmp))
+
+
+@pytest.mark.parametrize("name", sorted(RAW_CONFIGS))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_raw_config_texts_are_tables_or_config_errors(command, name):
+    text = RAW_CONFIGS[name]
+    check_table_or_config_error(command, lambda tmp: run_text(command, text, tmp))
 
 
 def test_the_fuzzer_writes_every_config_key():

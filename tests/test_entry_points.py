@@ -4,10 +4,11 @@ Every probe angle passes through ``optics._outcome_classes``, which
 refuses a non-finite one, and ``SourceParams`` refuses a non-finite
 ``theta_ab``.  Every public count (trials, rounds, swaps, a round index)
 and seed is read through ``fock._count``: floats, bools and strings are
-refused, a count below 1 or a seed below 0 is refused, and an integer
-type such as ``numpy.int64`` gives the same results, ``repr`` included,
-as the equal ``int``.  A guard walks ``singlerail.__all__`` so that a new
-public count or seed parameter cannot skip these tables.
+refused, a count below 1 or a seed below 0 is refused, even one too long
+for ``str``, and an integer type such as ``numpy.int64`` gives the same
+results, ``repr`` included, as the equal ``int``.  A guard walks
+``singlerail.__all__`` so that a new public count or seed parameter
+cannot skip these tables.  ``SourceParams`` refuses a non-number.
 """
 
 import inspect
@@ -76,6 +77,9 @@ SEED_ENTRY_POINTS = {
     "run_monte_carlo": lambda s: run_monte_carlo(PAIR, 100, seed=s),
 }
 
+#: past ``sys.get_int_max_str_digits()``: ``str`` of it raises ``ValueError``
+TOO_LONG_FOR_STR = pytest.param(-(10**5000), id="minus-10**5000")
+
 #: parameter names that carry a count or a seed
 COUNT_OR_SEED_PARAMETERS = {"trials", "rounds", "n_rounds", "n_swaps", "n", "seed"}
 #: result records whose fields echo the counts their producer read
@@ -108,15 +112,24 @@ class TestCountsAreIntegers:
         for n in (1, 5):
             assert repr(call(np.int64(n))) == repr(call(n))
 
-    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("value", [0, -3, TOO_LONG_FOR_STR])
     @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
     def test_counts_below_one_are_config_errors(self, entry, value):
         with pytest.raises(ConfigError, match="must be >= 1"):
             COUNT_ENTRY_POINTS[entry](value)
 
+    def test_a_count_too_long_for_str_is_named_by_sign_and_length(self):
+        with pytest.raises(ConfigError) as excinfo:
+            swap_chain_trace(PAIR, -(10**5000))
+        assert str(excinfo.value) == (
+            "swap count must be >= 1, got a negative integer of ~5000 digits"
+        )
+        with pytest.raises(ConfigError, match="occupation must be >= 0, got a negative"):
+            FockState(ModeRegister(("a",)), {(-(10**5000),): 1.0})
+
 
 class TestSeedsAreIntegers:
-    @pytest.mark.parametrize("value", [-1, 1.5, True, "3"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "3", TOO_LONG_FOR_STR])
     @pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
     def test_bad_seeds_are_config_errors(self, entry, value):
         with pytest.raises(ConfigError, match="seed must be"):
@@ -132,6 +145,14 @@ class TestSeedsAreIntegers:
 def test_non_finite_source_phase_is_a_config_error(theta_ab):
     with pytest.raises(ConfigError, match="theta_ab must be finite"):
         SourceParams(0.1, 0.2, theta_ab)
+
+
+@pytest.mark.parametrize("p", ["0.3", None, 0.3j, [0.3]])
+def test_non_number_emission_probability_is_a_config_error(p):
+    with pytest.raises(ConfigError, match="p_a must lie in"):
+        SourceParams(p, 0.2)
+    with pytest.raises(ConfigError, match="p_b must lie in"):
+        SourceParams(0.2, p)
 
 
 def test_every_public_count_and_seed_is_in_a_table():

@@ -10,7 +10,10 @@ from singlerail import (
     ConfigError,
     ContractError,
     DegenerateStateError,
+    FockState,
+    Herald,
     ModeRegister,
+    ProtocolResult,
     ParameterWarning,
     RegisterError,
     SingleRailPair,
@@ -304,6 +307,12 @@ class TestConcentrationRound:
         with pytest.raises(ContractError):
             concentration_round(p1, p2)
 
+    def test_four_distinct_modes_required(self):
+        # the joint register refuses the repeated name before any readout
+        p = make_pair(0.8)
+        with pytest.raises(RegisterError):
+            concentration_round(p.with_modes("a", "b"), p.with_modes("b", "c"))
+
     def test_unequal_phases_rejected_by_default(self):
         p1 = make_pair(0.8, theta=0.0, mode_a="a1", mode_b="b1")
         p2 = make_pair(0.8, theta=0.5, mode_a="a2", mode_b="b2")
@@ -419,6 +428,29 @@ class TestRecyclableToPair:
         succ = next(r for r in res if r.tag is Tag.SUCCESS)
         with pytest.raises(ContractError):
             recyclable_to_pair(succ)
+
+    @staticmethod
+    def _recyclable(names, terms):
+        state = FockState(ModeRegister(names), terms).normalize()
+        return ProtocolResult(Tag.RECYCLABLE, Herald(events=()), 1.0, state)
+
+    def test_two_mode_state_rejected(self):
+        result = self._recyclable(("a1", "b1"), {(1, 0): 0.6, (0, 1): 0.8})
+        with pytest.raises(ContractError, match="four-mode state"):
+            recyclable_to_pair(result)
+
+    def test_no_photon_at_the_station_rejected(self):
+        # |1,0,0,0>: the station's modes a2, b2 see no photon
+        result = self._recyclable(("a1", "b1", "a2", "b2"), {(1, 0, 0, 0): 1.0})
+        with pytest.raises(ContractError, match=r"impossible pattern \(0, 0\)"):
+            recyclable_to_pair(result)
+
+    def test_one_detector_branch_rejected(self):
+        # (|1010> + |1001>)/sqrt(2): a2 + b2 lands on D1 alone
+        terms = {(1, 0, 1, 0): 1.0, (1, 0, 0, 1): 1.0}
+        result = self._recyclable(("a1", "b1", "a2", "b2"), terms)
+        with pytest.raises(ContractError, match="expected both detector branches"):
+            recyclable_to_pair(result)
 
     def test_coefficient_recursion(self):
         # alpha' = alpha^2 / sqrt(alpha^4 + beta^4): 0.8 -> 16/17
@@ -537,6 +569,12 @@ class TestMonteCarlo:
         stats = run_monte_carlo(make_pair(0.8), 100, seed=0)
         assert stats.expected["success"] == pytest.approx(0.32, abs=1e-12)
         assert stats.expected["recyclable"] == pytest.approx(0.68, abs=1e-12)
+
+    def test_reports_plain_floats(self):
+        stats = run_monte_carlo(make_pair(0.8), 100, seed=3)
+        for table in (stats.frequencies, stats.stderrs, stats.expected):
+            assert all(type(v) is float for v in table.values())
+        assert "np.float64" not in repr(stats)
 
 
 PLAIN = ("a", "b", "c", "d")
