@@ -49,6 +49,9 @@ YIELD_MATCH_TOL = 1e-12
 #: oracle round cap: round n is fed by 2**n source pairs
 MAX_ORACLE_ROUNDS = 16
 
+#: closed-form round cap: past it the divisor 2.0 ** (n - 1) overflows
+MAX_FORMULA_ROUNDS = 1024
+
 #: decimal digits kept per value in the first pass of ``_oracle_floats``
 _START_DIGITS = 50
 
@@ -81,12 +84,12 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     ``compare_yield`` surfaces those differences instead of reconciling
     them.
     """
-    n = _count(n, "round index")
+    n = _count(n, "round index", most=MAX_FORMULA_ROUNDS)
     return _term(*(m**2 for m in _moduli(alpha, beta)), n)
 
 
 def yield_series(alpha: complex, beta: complex, n_rounds: int) -> list[float]:
-    n_rounds = _count(n_rounds, "round count")
+    n_rounds = _count(n_rounds, "round count", most=MAX_FORMULA_ROUNDS)
     x, y = (m**2 for m in _moduli(alpha, beta))  # read once per series
     return [_term(x, y, n) for n in range(1, n_rounds + 1)]
 

@@ -57,13 +57,16 @@ def _count(value: object, what: str, least: int = 1, most: int | None = None) ->
     return n
 
 
-def _shown(n: int) -> str:
-    """``str(n)``, or its sign and rough length where ``str`` refuses it."""
+def _shown(value: object) -> str:
+    """``repr(value)``; an integer ``str`` refuses shows its sign and rough
+    length instead, also as an item of a tuple."""
     try:
-        return str(n)
+        return repr(value)
     except ValueError:
-        digits = round(n.bit_length() * math.log10(2))
-        return f"a {'negative' if n < 0 else 'positive'} integer of ~{digits} digits"
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+        sign, digits = "negative" if value < 0 else "positive", value.bit_length()
+        return f"a {sign} integer of ~{round(digits * math.log10(2))} digits"
 
 
 def _weight(amps: Iterable[complex]) -> float:
@@ -145,7 +148,7 @@ class ModeRegister:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"ModeRegister({', '.join(self.names)}; cutoff={self.cutoff})"
+        return f"ModeRegister({', '.join(self.names)}; cutoff={_shown(self.cutoff)})"
 
 
 class FockState:
@@ -171,14 +174,14 @@ class FockState:
             occ = tuple(_count(n, "occupation", 0) for n in occ)
             if len(occ) != width:
                 raise RegisterError(
-                    f"occupation {occ!r} does not fit register {register!r}"
+                    f"occupation {_shown(occ)} does not fit register {register!r}"
                 )
             if sum(occ) > register.cutoff:
                 raise CapacityError(
-                    f"occupation {occ!r} exceeds cutoff {register.cutoff}"
+                    f"occupation {_shown(occ)} exceeds cutoff {_shown(register.cutoff)}"
                 )
             if occ in checked:
-                raise ConfigError(f"two keys name occupation {occ!r}")
+                raise ConfigError(f"two keys name occupation {_shown(occ)}")
             checked[occ] = complex(amp)
         self.register = register
         self.terms = _kept(checked)

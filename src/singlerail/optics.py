@@ -166,9 +166,11 @@ class QndConfig:
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _outcome_classes(theta: float, cutoff: int) -> tuple[tuple, tuple]:
     """The outcome classes of a probe at ``theta`` over counts 0..cutoff,
-    and the class of each count; a non-finite angle is a ``ConfigError``."""
+    and the class of each count; a non-finite phase is a ``ConfigError``."""
     if not math.isfinite(theta):
         raise ConfigError(f"probe angle must be finite, got {theta!r}")
+    if not math.isfinite(cutoff * theta):
+        raise ConfigError(f"probe angle {theta!r}: phase at {cutoff} photons overflows")
     groups: list[tuple[float, set[int]]] = []
     for n in range(cutoff + 1):
         c = math.cos(n * theta)
@@ -238,7 +240,10 @@ def detect_single_photon(
     """
     det = tuple(detector_modes)
     post_reg, readout = _readout_groups(state.register, det, state.terms)
-    return _outcomes(post_reg, readout, state.terms)
+    return [
+        DetectionOutcome(fired, p, prob, FockState._of(post_reg, post), sum(p) >= 2)
+        for p, fired, prob, post in _weighed(readout, state.terms)
+    ]
 
 
 def _readout_groups(reg: ModeRegister, det: tuple[ModeId, ...], support) -> tuple:
@@ -260,16 +265,13 @@ def _readout_groups(reg: ModeRegister, det: tuple[ModeId, ...], support) -> tupl
     return post_reg, tuple(readout)
 
 
-def _outcomes(reg: ModeRegister, readout: tuple, kets: dict) -> list[DetectionOutcome]:
-    """The outcomes of ``readout`` on ``kets``, on ``reg``: each pattern's
-    members in ``kets``, renormalized; zero-probability ones left out."""
-    outcomes = []
+def _weighed(readout: tuple, kets: dict):
+    """Per pattern of ``readout`` with positive weight in ``kets``: the
+    pattern, its fired detector, weight and members renormalized."""
     for pattern, fired, members in readout:
         prob, post = _renormalized({k: kets[o] for o, k in members if o in kets})
         if prob > 0.0:
-            post_state, flagged = FockState._of(reg, post), sum(pattern) >= 2
-            outcomes.append(DetectionOutcome(fired, pattern, prob, post_state, flagged))
-    return outcomes
+            yield pattern, fired, prob, post
 
 
 def phase_flip(state: FockState, mode: ModeId) -> FockState:

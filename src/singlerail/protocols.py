@@ -12,7 +12,9 @@ into the next round instead of being discarded.
 
 Every protocol step returns all herald branches with exact probabilities.
 Control flow never inspects amplitudes: decisions are pure functions of
-herald records (see ``herald_action``).
+herald records (see ``herald_action``).  The iterated walk and the sampler
+read one record-free concentration step; ``concentration_round`` and
+``recyclable_to_pair`` wrap records around the same arithmetic.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from .errors import (
     RegisterError,
 )
 from .fock import DEFAULT_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
-from .fock import Occupation, _count, _renormalized
+from .fock import Occupation, _count, _renormalized, _shown
 from .optics import (
     BeamSplitter,
-    DetectionOutcome,
-    _outcomes,
+    _outcome_classes,
     _outputs,
+    _weighed,
     phase_flip,
-    qnd_measure,
-    QndConfig,
 )
 
 if TYPE_CHECKING:
@@ -70,7 +70,7 @@ class SourceParams:
     def __post_init__(self):
         for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
             if not (isinstance(p, Real) and 0.0 < p < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {p!r}")
+                raise ConfigError(f"{name} must lie in (0, 1), got {_shown(p)}")
         if not math.isfinite(self.theta_ab):
             raise ConfigError(f"theta_ab must be finite, got {self.theta_ab!r}")
 
@@ -227,7 +227,9 @@ class ProtocolResult:
     def pair(self) -> SingleRailPair | None:
         if self.tag is not Tag.SUCCESS:
             return None
-        return _pair_from_state(self.corrected_state())
+        state = self.corrected_state()
+        amps = state.amplitude((1, 0)), state.amplitude((0, 1))
+        return SingleRailPair.from_coefficients(*amps, *state.register.names)
 
 
 def _class_label(cls: frozenset[int]) -> str:
@@ -235,6 +237,7 @@ def _class_label(cls: frozenset[int]) -> str:
 
 
 KEEP, RECYCLE, DISCARD = "keep", "recycle", "discard"
+_TAGS = {KEEP: Tag.SUCCESS, RECYCLE: Tag.RECYCLABLE, DISCARD: Tag.FAILURE}
 
 
 def herald_action(outcome_class: frozenset[int]) -> str:
@@ -278,12 +281,6 @@ def generate_entanglement(params: SourceParams) -> tuple[float, SingleRailPair]:
 # -- entanglement swapping ------------------------------------------------------
 
 
-def _pair_from_state(state: FockState) -> SingleRailPair:
-    """The pair on the two modes of ``state``, from its one-photon kets."""
-    amps = state.amplitude((1, 0)), state.amplitude((0, 1))
-    return SingleRailPair.from_coefficients(*amps, *state.register.names)
-
-
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _station(step: str, modes: tuple[ModeId, ...]) -> tuple:
     """The joint register and the beam splitter of ``step`` over modes
@@ -303,18 +300,18 @@ def _joint(p: SingleRailPair, q: SingleRailPair) -> dict[Occupation, complex]:
     return {k: amp for k, amp in zip(kets, (a * c, a * d, b * c, b * d)) if amp}
 
 
-def _label(station: BeamSplitter, outcome: DetectionOutcome) -> str:
+def _label(station: BeamSplitter, fired: ModeId | None, pattern: tuple) -> str:
     """The detector of an outcome that brings the station one photon."""
-    if outcome.fired is None:
-        raise ContractError(f"impossible pattern {outcome.pattern!r} for one photon")
-    return "D1" if outcome.fired == station.out_modes[0] else "D2"
+    if fired is None:
+        raise ContractError(f"impossible pattern {pattern!r} for one photon")
+    return "D1" if fired == station.out_modes[0] else "D2"
 
 
-def _readout(state: FockState, station: BeamSplitter) -> list[DetectionOutcome]:
-    """The station's detector outcomes on ``state``, splitter then counting,
-    as ``detect_single_photon`` reads them, from the station's slot plan."""
-    (*_, post_register, readout), out = _outputs(state.register, station, state.terms)
-    return _outcomes(post_register, readout, out)
+def _readout(register: ModeRegister, station: BeamSplitter, kets: dict) -> tuple:
+    """The station's post-register and its outcomes on ``kets``, from its slot
+    plan, as (pattern, fired, weight, kets renormalized) in readout order."""
+    (*_, post_register, readout), out = _outputs(register, station, kets)
+    return post_register, list(_weighed(readout, out))
 
 
 def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResult]:
@@ -332,22 +329,23 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     register, station = _station(
         "swap", (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
+    post_register, outcomes = _readout(register, station, _joint(pair_ab, pair_cd))
     results = []
-    for outcome in _readout(FockState._of(register, _joint(pair_ab, pair_cd)), station):
-        success = outcome.fired is not None
+    for pattern, fired, prob, post in outcomes:
+        success = fired is not None
         if success:
-            label = _label(station, outcome)
-        elif outcome.photons_seen == 0:
+            label = _label(station, fired, pattern)
+        elif not any(pattern):
             label = "no-click"
         else:
-            label = "multi-click:" + ",".join(map(str, outcome.pattern))
+            label = "multi-click:" + ",".join(map(str, pattern))
         herald = Herald(
-            events=(HeraldEvent("swap-detect", label, outcome.probability),),
+            events=(HeraldEvent("swap-detect", label, prob),),
             detector=label if success else None,
         )
         tag = Tag.SUCCESS if success else Tag.FAILURE
-        post = outcome.post_state
-        results.append(ProtocolResult(tag, herald, outcome.probability, post))
+        state = FockState._of(post_register, post)
+        results.append(ProtocolResult(tag, herald, prob, state))
     return results
 
 
@@ -395,12 +393,67 @@ def _check_copies(
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _probe(monitored: tuple[ModeId, ModeId], qnd_theta: float) -> tuple:
-    """The QND probe of a concentration round, built once per monitored
-    modes and angle, with each outcome class's herald action and label."""
-    probe = QndConfig(monitored=monitored, theta=qnd_theta)
-    classes = probe.outcome_classes(DEFAULT_CUTOFF)
-    return probe, {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
+def _probe(qnd_theta: float) -> tuple:
+    """The QND probe of a concentration round at ``qnd_theta``: the class of
+    each monitored count and, in class order, each class's action and label."""
+    classes, class_of = _outcome_classes(qnd_theta, DEFAULT_CUTOFF)
+    return class_of, {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
+
+
+def _readings(
+    pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float, allow_unequal: bool
+) -> tuple:
+    """The station of a round on two copies and, as ``qnd_measure`` reads their
+    joint kets, per class of positive weight in class order: the class, its
+    verdict (action and label, a herald record), weight and kets renormalized."""
+    _check_copies(pair1, pair2, allow_unequal)
+    modes = pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b
+    register, station = _station("concentration", modes)
+    class_of, verdicts = _probe(qnd_theta)
+    groups: dict[frozenset[int], dict] = {cls: {} for cls in verdicts}
+    for occ, amp in _joint(pair1, pair2).items():  # the probe reads b1 + b2
+        groups[class_of[occ[1] + occ[3]]][occ] = amp
+    readings = [(c, verdicts[c], *_renormalized(kets)) for c, kets in groups.items()]
+    return register, station, [r for r in readings if r[2] > 0.0]
+
+
+def _reduced(
+    register: ModeRegister, station: BeamSplitter, kets: dict, names: tuple
+) -> SingleRailPair:
+    """The pair on modes ``names`` a recyclable class's kets reduce to, read
+    from D1's click; D2's, with its b-side sign flipped, must agree."""
+    reduced: dict[str, SingleRailPair] = {}
+    for pattern, fired, _, post in _readout(register, station, kets)[1]:
+        label = _label(station, fired, pattern)
+        if label == "D2":  # a2 feeds the difference port, which lands on D2
+            post = {occ: (-a if occ[1] % 2 else a) for occ, a in post.items()}
+        # a ket that underflowed to zero reads 0j, as if the state dropped it
+        amps = (post.get(occ) or 0j for occ in ((1, 0), (0, 1)))
+        reduced[label] = SingleRailPair.from_coefficients(*amps, *names)
+    if set(reduced) != {"D1", "D2"}:
+        raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
+    if not reduced["D1"].close_to(reduced["D2"]):
+        raise ContractError("detector branches disagree after sign correction")
+    return reduced["D1"]
+
+
+def _step(pair: SingleRailPair, qnd_theta: float) -> tuple:
+    """One round on two copies of ``pair``, with no record: each branch as
+    (label, probability, action) in ``concentration_round``'s order, labelled
+    by detector if kept, else by probe class, and the recycled pair or None."""
+    register, station, readings = _readings(
+        pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta, False
+    )
+    branches, recycled = [], None
+    for _, (action, label), prob, kets in readings:
+        if action == KEEP:
+            for pattern, fired, weight, _ in _readout(register, station, kets)[1]:
+                branches.append((_label(station, fired, pattern), prob * weight, KEEP))
+            continue
+        branches.append((label, prob, action))
+        if action == RECYCLE:
+            recycled = _reduced(register, station, kets, (pair.mode_a, pair.mode_b))
+    return branches, recycled
 
 
 def concentration_round(
@@ -426,35 +479,29 @@ def concentration_round(
 
     Returns every branch; probabilities sum to one.
     """
-    _check_copies(pair1, pair2, allow_unequal_phases)
-    register, station = _station(
-        "concentration", (pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b)
+    register, station, readings = _readings(
+        pair1, pair2, qnd_theta, allow_unequal_phases
     )
-    probe, verdicts = _probe((pair1.mode_b, pair2.mode_b), qnd_theta)
-    joint = FockState._of(register, _joint(pair1, pair2))
-
     results = []
-    for reading in qnd_measure(joint, probe):
-        action, label = verdicts[reading.outcome_class]
-        qnd_event = HeraldEvent("qnd", label, reading.probability)
+    for cls, (action, label), prob, kets in readings:
+        qnd_event = HeraldEvent("qnd", label, prob)
         if action != KEEP:
-            tag = Tag.RECYCLABLE if action == RECYCLE else Tag.FAILURE
-            herald = Herald(events=(qnd_event,), qnd_class=reading.outcome_class)
-            results.append(
-                ProtocolResult(tag, herald, reading.probability, reading.post_state)
-            )
+            herald = Herald(events=(qnd_event,), qnd_class=cls)
+            state = FockState._of(register, kets)
+            results.append(ProtocolResult(_TAGS[action], herald, prob, state))
             continue
-        for click in _readout(reading.post_state, station):
-            label = _label(station, click)
+        post_register, clicks = _readout(register, station, kets)
+        for pattern, fired, weight, post in clicks:
+            det = _label(station, fired, pattern)
             herald = Herald(
-                events=(qnd_event, HeraldEvent("detector", label, click.probability)),
-                qnd_class=reading.outcome_class,
-                detector=label,
-                sign_correction=label == "D2",
+                events=(qnd_event, HeraldEvent("detector", det, weight)),
+                qnd_class=cls,
+                detector=det,
+                sign_correction=det == "D2",
                 correction_mode=pair1.mode_b,
             )
-            prob = reading.probability * click.probability
-            results.append(ProtocolResult(Tag.SUCCESS, herald, prob, click.post_state))
+            state = FockState._of(post_register, post)
+            results.append(ProtocolResult(Tag.SUCCESS, herald, prob * weight, state))
     return results
 
 
@@ -476,20 +523,8 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     state = result.state
     if state is None or len(state.register) != 4:
         raise ContractError("recyclable branch must carry a four-mode state")
-    # a2 feeds the difference combination and the difference lands on
-    # D2, b2's port, so the D2 branch picks up the '-' sign
-    reduced: dict[str, SingleRailPair] = {}
     _, station = _station("concentration", state.register.names)
-    for click in _readout(state, station):
-        label, post = _label(station, click), click.post_state
-        if label == "D2":
-            post = phase_flip(post, state.register.names[1])
-        reduced[label] = _pair_from_state(post)
-    if set(reduced) != {"D1", "D2"}:
-        raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
-    if not reduced["D1"].close_to(reduced["D2"]):
-        raise ContractError("detector branches disagree after sign correction")
-    return reduced["D1"]
+    return _reduced(state.register, station, state.terms, state.register.names[:2])
 
 
 # -- iteration and sampling --------------------------------------------------------
@@ -541,26 +576,13 @@ def iterate_concentration(
     rounds = _count(rounds, "round count")
     entries = []
     current: SingleRailPair | None = pair
-    names = pair.mode_a, pair.mode_b
     attempts = 0.5
     cumulative = 0.0
     for n in range(1, rounds + 1):
         # a round with no input pair is the same round at zero weight
-        p_success = p_recycle = 0.0
-        recycled = None
-        if current is not None:
-            branches = concentration_round(
-                current.with_modes("a1", "b1"),
-                current.with_modes("a2", "b2"),
-                qnd_theta,
-            )
-            p_success = math.fsum(
-                r.probability for r in branches if r.tag is Tag.SUCCESS
-            )
-            recyclables = [r for r in branches if r.tag is Tag.RECYCLABLE]
-            p_recycle = math.fsum(r.probability for r in recyclables)
-            if recyclables:
-                recycled = recyclable_to_pair(recyclables[0]).with_modes(*names)
+        branches, recycled = _step(current, qnd_theta) if current else ([], None)
+        p_success = math.fsum(p for _, p, action in branches if action == KEEP)
+        p_recycle = math.fsum(p for _, p, action in branches if action == RECYCLE)
         gained = attempts * p_success
         cumulative += gained
         entries.append(
@@ -592,13 +614,6 @@ class MonteCarloStats:
     frequencies: dict[str, float]
     stderrs: dict[str, float]
     expected: dict[str, float]
-
-
-def _branch_label(result: ProtocolResult) -> str:
-    detail = result.herald.detector or (
-        _class_label(result.herald.qnd_class) if result.herald.qnd_class else ""
-    )
-    return f"{result.tag.value}:{detail}" if detail else result.tag.value
 
 
 def count_draws(
@@ -636,12 +651,10 @@ def run_monte_carlo(
     """
     trials = _count(trials, "trials")
     seed = _count(seed, "seed", 0)
-    branches = concentration_round(
-        pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
-    )
+    branches = [(_TAGS[a].value, label, p) for label, p, a in _step(pair, qnd_theta)[0]]
     import numpy as np  # deferred: only a run that draws pays the import
 
-    probs = np.array([r.probability for r in branches], dtype=float)
+    probs = np.array([p for *_, p in branches], dtype=float)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"branch probabilities sum to {total!r}, not 1")
@@ -651,10 +664,9 @@ def run_monte_carlo(
 
     frequencies: dict[str, float] = {}
     expected: dict[str, float] = {}
-    for res, n_hits in zip(branches, counts):
-        tag = res.tag.value
+    for (tag, _, p), n_hits in zip(branches, counts):
         frequencies[tag] = frequencies.get(tag, 0.0) + int(n_hits) / trials
-        expected[tag] = expected.get(tag, 0.0) + res.probability
+        expected[tag] = expected.get(tag, 0.0) + p
     stderrs = {
         tag: math.sqrt(f * (1.0 - f) / trials) for tag, f in frequencies.items()
     }
@@ -662,7 +674,7 @@ def run_monte_carlo(
         trials=trials,
         seed=seed,
         qnd_theta=qnd_theta,
-        branch_labels=tuple(_branch_label(r) for r in branches),
+        branch_labels=tuple(f"{tag}:{label}" for tag, label, _ in branches),
         branch_counts=tuple(int(c) for c in counts),
         frequencies=frequencies,
         stderrs=stderrs,

@@ -208,6 +208,14 @@ class TestConfigHandling:
         assert out == ""
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize("command", ["concentrate", "yield"])
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_probe_angle_whose_phase_overflows(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path, alpha_sq=0.3, qnd_theta=value)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        message = f"probe angle {value!r}: phase at 2 photons overflows"
+        assert (code, out, err) == (1, "", f"config error: {message}\n")
+
     def test_alpha_sq_key_must_print_inside_unit_interval(self, tmp_path, capsys):
         # 0.9999999999999999 < 1, but its 15-digit key prints as 1
         cfg = write_config(tmp_path, alpha_sq=[0.5, 0.9999999999999999])
@@ -556,22 +564,25 @@ def test_golden_output(tmp_path, capsys, command, config, golden):
 
 
 def test_concentrate_walks_each_point_round_once(tmp_path, capsys, monkeypatch):
-    original = singlerail.protocols.concentration_round
+    # the walk takes one record-free step per point and round, and never
+    # the record path of concentration_round
     calls = []
+    for name in ("_step", "concentration_round"):
+        original = getattr(singlerail.protocols, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    # patch every binding, so a second walk from any module is counted
-    for module in (singlerail.protocols, singlerail.analytics, singlerail.cli):
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, counted)
+        # patch every binding, so a second walk from any module is counted
+        for module in (singlerail.protocols, singlerail.analytics, singlerail.cli):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     cfg = write_config(tmp_path, alpha_sq=[0.2, 0.5, 0.8], rounds=4, trials=1000)
     code, _, _ = run_cli(["concentrate", "--config", cfg], capsys)
     assert code == 0
-    assert len(calls) == 3 * 4
+    assert calls == ["_step"] * (3 * 4)
 
 
 class TestOutputEncoding:

@@ -1,17 +1,20 @@
 """Public entry points refuse out-of-domain numbers with a ``ConfigError``.
 
 Every probe angle passes through ``optics._outcome_classes``, which
-refuses a non-finite one, and ``SourceParams`` refuses a non-finite
-``theta_ab``.  Every public count (trials, rounds, swaps, a round index)
+refuses a non-finite one and one whose phase at the cutoff overflows,
+and ``SourceParams`` refuses a non-finite ``theta_ab``.  Every public count (trials, rounds, swaps, a round index)
 and seed is read through ``fock._count``: floats, bools and strings are
 refused, a count below 1 or a seed below 0 is refused, even one too long
 for ``str``, and an integer type such as ``numpy.int64`` gives the same
 results, ``repr`` included, as the equal ``int``.  A guard walks
 ``singlerail.__all__`` so that a new public count or seed parameter
-cannot skip these tables.  ``SourceParams`` refuses a non-number.
+cannot skip these tables.  The closed form caps its round at 1024,
+past which its divisor overflows.  ``SourceParams`` refuses a non-number.
+An integer too long for ``str`` in a message is named by sign and length.
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -19,10 +22,12 @@ import pytest
 
 import singlerail
 from singlerail import (
+    CapacityError,
     ConfigError,
     FockState,
     ModeRegister,
     QndConfig,
+    RegisterError,
     SourceParams,
     compare_yield,
     concentration_round,
@@ -93,10 +98,26 @@ class TestNonFiniteProbeAngles:
         with pytest.raises(ConfigError, match="probe angle must be finite"):
             ANGLE_ENTRY_POINTS[entry](theta)
 
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 9e307])
+    @pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+    def test_angles_whose_phase_overflows_are_config_errors(self, entry, theta):
+        # the probe reads cos(n * theta) up to the cutoff, n = 2
+        message = f"probe angle {theta!r}: phase at 2 photons overflows"
+        with pytest.raises(ConfigError) as excinfo:
+            ANGLE_ENTRY_POINTS[entry](theta)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
     def test_finite_angles_still_run(self, entry):
-        for theta in (math.pi, 1.0, -2.5):
+        for theta in (math.pi, 1.0, -2.5, 8.98e307, -8.98e307):
             ANGLE_ENTRY_POINTS[entry](theta)
+
+    def test_largest_angles_keep_their_classes(self):
+        # 2 * theta is finite, so every count keeps its cos(n * theta)
+        for theta in (8.98e307, -8.98e307, 1e300):
+            cosines = [math.cos(n * theta) for n in range(3)]
+            assert min(abs(a - b) for a, b in itertools.combinations(cosines, 2)) > 1e-9
+            assert QndConfig(("b",), theta).outcome_classes(2) == [{0}, {1}, {2}]
 
 
 class TestCountsAreIntegers:
@@ -126,6 +147,43 @@ class TestCountsAreIntegers:
         )
         with pytest.raises(ConfigError, match="occupation must be >= 0, got a negative"):
             FockState(ModeRegister(("a",)), {(-(10**5000),): 1.0})
+
+    def test_a_value_too_long_for_str_is_named_in_range_messages(self):
+        huge = "a positive integer of ~5000 digits"
+        with pytest.raises(CapacityError) as excinfo:
+            FockState(ModeRegister(("a",)), {(10**5000,): 1.0})
+        assert str(excinfo.value) == f"occupation ({huge},) exceeds cutoff 2"
+        with pytest.raises(RegisterError) as excinfo:
+            FockState(ModeRegister(("a", "b")), {(1, 10**5000, 0): 1.0})
+        assert str(excinfo.value) == (
+            f"occupation (1, {huge}, 0) does not fit register ModeRegister(a, b; cutoff=2)"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            SourceParams(10**5000, 0.2)
+        assert str(excinfo.value) == f"p_a must lie in (0, 1), got {huge}"
+        with pytest.raises(ConfigError, match="p_b must lie in .* a negative integer"):
+            SourceParams(0.2, -(10**5000))
+        # ordinary values keep their bytes
+        with pytest.raises(CapacityError) as excinfo:
+            FockState(ModeRegister(("a",)), {(3,): 1.0})
+        assert str(excinfo.value) == "occupation (3,) exceeds cutoff 2"
+        with pytest.raises(ConfigError) as excinfo:
+            SourceParams(2, 0.2)
+        assert str(excinfo.value) == "p_a must lie in (0, 1), got 2"
+
+
+class TestClosedFormRoundCap:
+    @pytest.mark.parametrize("n", [1025, 10**6, pytest.param(10**5000, id="10**5000")])
+    @pytest.mark.parametrize("entry", ["yield_term", "yield_series"])
+    def test_rounds_past_the_cap_are_config_errors(self, entry, n):
+        # 2.0 ** (n - 1) overflows from n = 1025 on
+        with pytest.raises(ConfigError, match="must be <= 1024, got"):
+            COUNT_ENTRY_POINTS[entry](n)
+
+    def test_the_cap_itself_still_runs(self):
+        assert yield_term(0.6, 0.8, 1024) == 0.0
+        series = yield_series(0.6, 0.8, 1024)
+        assert len(series) == 1024 and series[-1] == 0.0
 
 
 class TestSeedsAreIntegers:

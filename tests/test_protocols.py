@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from singlerail import (
     ModeRegister,
     ProtocolResult,
     ParameterWarning,
+    QndConfig,
     RegisterError,
     SingleRailPair,
     SourceParams,
@@ -30,7 +32,7 @@ from singlerail import (
     swap,
     swap_chain_trace,
 )
-from singlerail.protocols import RoundEntry, _station
+from singlerail.protocols import IterationLedger, RoundEntry, _station, _step
 from conftest import make_pair
 
 
@@ -535,6 +537,10 @@ class TestIterateConcentration:
             assert repr(entry) == repr(dead)
 
 
+#: branch labels of a probe that resolves every count
+RESOLVED = ("failure:0", "success:D1", "success:D2", "failure:2")
+
+
 class TestMonteCarlo:
     def test_requires_trials(self):
         with pytest.raises(ConfigError):
@@ -575,6 +581,103 @@ class TestMonteCarlo:
         for table in (stats.frequencies, stats.stderrs, stats.expected):
             assert all(type(v) is float for v in table.values())
         assert "np.float64" not in repr(stats)
+
+    @pytest.mark.parametrize(
+        "qnd_theta,labels,counts",
+        [
+            (math.pi, ("recyclable:0|2", "success:D1", "success:D2"), (6772, 1566, 1662)),
+            (1.0, RESOLVED, (6344, 1603, 1657, 396)),
+            (0.0, ("failure:0|1|2",), (10000,)),
+            (math.pi / 2, RESOLVED, (6344, 1603, 1657, 396)),
+        ],
+    )
+    def test_branch_order_and_counts_are_pinned(self, qnd_theta, labels, counts):
+        # the draws are cut at the cumulative branch probabilities, so a
+        # moved branch moves the counts
+        stats = run_monte_carlo(make_pair(0.8, theta=0.3), 10_000, qnd_theta, seed=7)
+        assert (stats.branch_labels, stats.branch_counts) == (labels, counts)
+
+
+#: probe angles: the parity probe, two that resolve every count, one that reads nothing
+PROBE_ANGLES = [math.pi, 1.0, math.pi / 2, 0.0]
+#: |alpha|^2 over (0, 1): uniform, log-uniform down to 1e-300, and the edges
+_DRAW = random.Random(20261019)
+WALK_ALPHA_SQ = sorted(
+    [_DRAW.uniform(0.0, 1.0) for _ in range(45)]
+    + [10 ** _DRAW.uniform(-300.0, 0.0) for _ in range(45)]
+    + [1e-300, 5e-324, 0.5, 0.9999999999999999]
+)
+
+
+def _record_walk(pair, rounds, qnd_theta):
+    """``iterate_concentration`` as a loop over the records of
+    ``concentration_round`` and ``recyclable_to_pair``."""
+    entries, current, attempts, cumulative = [], pair, 0.5, 0.0
+    for n in range(1, rounds + 1):
+        p_success = p_recycle = 0.0
+        recycled = None
+        if current is not None:
+            branches = concentration_round(
+                current.with_modes("a1", "b1"), current.with_modes("a2", "b2"), qnd_theta
+            )
+            p_success = math.fsum(r.probability for r in branches if r.tag is Tag.SUCCESS)
+            recyclables = [r for r in branches if r.tag is Tag.RECYCLABLE]
+            p_recycle = math.fsum(r.probability for r in recyclables)
+            if recyclables:
+                recycled = recyclable_to_pair(recyclables[0])
+                recycled = recycled.with_modes(pair.mode_a, pair.mode_b)
+        gained = attempts * p_success
+        cumulative += gained
+        entries.append(
+            RoundEntry(n, current, p_success, p_recycle, recycled, attempts, gained, cumulative)
+        )
+        attempts = attempts * p_recycle / 2.0
+        current = recycled
+    return IterationLedger(qnd_theta, tuple(entries))
+
+
+class TestRecordFreeStep:
+    """The walk reads ``_step``, which builds no record; the records of
+    ``concentration_round`` and ``recyclable_to_pair`` wrap the same
+    arithmetic, so both must agree bit for bit."""
+
+    @pytest.mark.parametrize("theta_ab", [0.0, 0.4, 2.0])
+    @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
+    def test_walk_equals_the_record_loop(self, qnd_theta, theta_ab):
+        for alpha_sq in WALK_ALPHA_SQ:
+            pair = make_pair(alpha_sq, theta=theta_ab)
+            want = _record_walk(pair, 16, qnd_theta)
+            assert repr(iterate_concentration(pair, 16, qnd_theta)) == repr(want)
+
+    @pytest.mark.parametrize("alpha_sq", [5e-324, 1e-300, 0.3, 0.5, 0.9999999999999999])
+    @pytest.mark.parametrize("theta_ab", [0.0, 0.4, 2.0])
+    @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
+    def test_branches_equal_the_records(self, qnd_theta, theta_ab, alpha_sq):
+        pair = make_pair(alpha_sq, theta=theta_ab)
+        records = concentration_round(
+            pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
+        )
+        branches, recycled = _step(pair, qnd_theta)
+        # a record's label is its last event's: the detector if kept, else the class
+        assert [(label, repr(p), action) for label, p, action in branches] == [
+            (r.herald.events[-1].outcome, repr(r.probability), herald_action(r.herald.qnd_class))
+            for r in records
+        ]
+        recyclables = [r for r in records if r.tag is Tag.RECYCLABLE]
+        want = recyclables and recyclable_to_pair(recyclables[0]).with_modes("a", "b")
+        assert repr(recycled) == repr(want or None)
+
+    @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
+    def test_every_probe_class_is_a_branch(self, qnd_theta):
+        # 0 < alpha_sq < 1 puts weight on every count 0, 1 and 2
+        branches, _ = _step(make_pair(0.3, theta=0.4), qnd_theta)
+        labels = {label for label, _, action in branches if action != "keep"}
+        classes = QndConfig(("b1", "b2"), qnd_theta).outcome_classes(2)
+        kept = [cls for cls in classes if herald_action(cls) == "keep"]
+        assert labels == {"|".join(map(str, sorted(c))) for c in classes if c not in kept}
+        assert [label for label, _, action in branches if action == "keep"] == (
+            ["D1", "D2"] if kept else []
+        )
 
 
 PLAIN = ("a", "b", "c", "d")

@@ -24,6 +24,7 @@ from singlerail import (
     CapacityError,
     ConfigError,
     DegenerateStateError,
+    DetectionOutcome,
     FockState,
     ModeRegister,
     QndConfig,
@@ -201,7 +202,12 @@ def _station_bits(state: FockState, step: str) -> tuple[list, list]:
     ``detect_single_photon``, both as ``_outcome_bits``."""
     _, station = _station(step, state.register.names)
     plain = detect_single_photon(apply_beam_splitter(state, station), station.out_modes)
-    return list(map(_outcome_bits, _readout(state, station))), list(map(_outcome_bits, plain))
+    post_register, outcomes = _readout(state.register, station, state.terms)
+    got = [
+        DetectionOutcome(fired, p, w, FockState._of(post_register, kets), sum(p) >= 2)
+        for p, fired, w, kets in outcomes
+    ]
+    return list(map(_outcome_bits, got)), list(map(_outcome_bits, plain))
 
 
 class TestStationReadoutOnTheSlotPlan:
@@ -237,13 +243,13 @@ class TestStationReadoutOnTheSlotPlan:
         _, station = _station("swap", REG.names)
         s = FockState(REG, {(0, 1, 0, 0): 1.7e308, (0, 0, 1, 0): 1.7e308})
         with pytest.raises(ConfigError, match="non-finite"):
-            _readout(s, station)
+            _readout(s.register, station, s.terms)
 
     def test_overflowing_square_is_a_config_error(self):
         _, station = _station("concentration", REG.names)
         s = FockState(REG, {(0, 0, 1, 0): 1e200, (1, 0, 0, 0): 1e-200})
         with pytest.raises(ConfigError, match="overflows"):
-            _readout(s, station)
+            _readout(s.register, station, s.terms)
 
 
 class TestPlanCachesAreBounded:
