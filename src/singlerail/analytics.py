@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
-from numbers import Number
 
 from .errors import CapacityError, ConfigError
-from .fock import _count, _shown, _weight
+from .fock import _amplitude, _count, _real, _shown, _weight
 from .optics import _outcome_classes
 from .protocols import (
     KEEP,
@@ -67,11 +66,11 @@ def _balance_ratio(x: float, y: float, power: int) -> float:
 
 def _moduli(alpha: complex, beta: complex) -> list[float]:
     """|alpha| and |beta|, read alike for the closed form and the oracle:
-    finite numbers whose squares, summed, fit a float (``fock._weight``)."""
-    numbers = isinstance(alpha, Number) and isinstance(beta, Number)
-    if not (numbers and math.isfinite(_weight((alpha, beta)))):
+    finite amplitudes whose squares, summed, fit a float (``fock._weight``)."""
+    amps = _amplitude(alpha, "alpha"), _amplitude(beta, "beta")
+    if not math.isfinite(_weight(amps)):
         raise ConfigError(f"alpha, beta must be finite numbers: {alpha!r}, {beta!r}")
-    return [abs(complex(alpha)), abs(complex(beta))]
+    return [abs(a) for a in amps]
 
 
 def yield_term(alpha: complex, beta: complex, n: int) -> float:
@@ -139,7 +138,7 @@ def _probe_actions(qnd_theta: float) -> set[str]:
     the probe's outcome classes for up to two monitored photons.  No
     amplitude is read.
     """
-    classes, _ = _outcome_classes(qnd_theta, 2)
+    classes, _ = _outcome_classes(_real(qnd_theta, "probe angle"), 2)
     return {herald_action(cls) for cls in classes}
 
 

@@ -31,7 +31,7 @@ from .analytics import (
     monte_carlo_yield,
 )
 from .errors import ConfigError, SingleRailError
-from .fock import _count
+from .fock import _count, _real
 from .protocols import (
     SingleRailPair,
     SourceParams,
@@ -85,36 +85,21 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(
-            f"{key} must fit in a float, got an integer of {len(str(value))} digits"
-        ) from None
-
-
 def _as_float_list(value, key: str) -> list[float]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [_as_float(value, key)]
+        return [_real(value, key)]
     if isinstance(value, (list, tuple)) and value:
-        out = []
         for v in value:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"{key} entries must be numbers, got {v!r}")
-            out.append(_as_float(v, key))
-        return out
+        return [_real(v, key) for v in value]
     raise ConfigError(f"{key} must be a number or a nonempty list, got {value!r}")
 
 
 def _as_angle(value, key: str) -> float:
     if isinstance(value, str) and value.strip().lower() == "pi":
         return math.pi
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        angle = _as_float(value, key)
-        if math.isfinite(angle):
-            return angle
-    raise ConfigError(f"{key} accepts a finite number or 'pi', got {value!r}")
+    return _real(value, f"{key}, if not 'pi',")
 
 
 def load_config(path: str) -> dict:
@@ -171,8 +156,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.p_a = _as_float_list(merged["p_a"], "p_a")
     if "p_b" in merged:
         cfg.p_b = _as_float_list(merged["p_b"], "p_b")
-    if "output" in merged and merged["output"] is not None:
-        cfg.output = str(merged["output"])
+    cfg.output = merged.get("output")
+    if not isinstance(cfg.output, (str, type(None))):
+        raise ConfigError(f"output must be a string, got {cfg.output!r}")
     if "format" in merged:
         if merged["format"] not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {merged['format']!r}")

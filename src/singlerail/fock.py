@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -49,7 +50,7 @@ def _count(value: object, what: str, least: int = 1, most: int | None = None) ->
     """An exact integer in ``[least, most]`` read through ``operator.index``;
     bools are refused."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {_shown(value)}")
     n = operator.index(value)
     if n < least or most is not None and n > most:
         bound = f">= {least}" if n < least else f"<= {most}"
@@ -57,14 +58,47 @@ def _count(value: object, what: str, least: int = 1, most: int | None = None) ->
     return n
 
 
+def _real(value: object, what: str, low=None, high=None) -> float:
+    """A finite ``float`` read from a ``numbers.Real``; bools are refused.
+    With ``low`` and ``high`` it must lie in the open interval (low, high)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if low is not None and not low < x < high:
+        rule = f"lie in ({low}, {high})"
+    elif low is None and not math.isfinite(x):
+        rule = "be finite" if real else "be a real number"
+    else:
+        return x
+    raise ConfigError(f"{what} must {rule}, got {_shown(value)}")
+
+
+def _amplitude(value: object, what: str) -> complex:
+    """A ``complex`` read from a ``numbers.Complex``; bools, strings and
+    values past the float range are refused.  Finiteness is left to the
+    rule that owns it."""
+    if type(value) is complex:
+        return value
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            return complex(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{what} must be a complex float, got {_shown(value)}")
+
+
 def _shown(value: object) -> str:
     """``repr(value)``; an integer ``str`` refuses shows its sign and rough
-    length instead, also as an item of a tuple."""
+    length instead, also inside a tuple, and another such value its type."""
     try:
         return repr(value)
     except ValueError:
         if isinstance(value, tuple):
             return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to show"
         sign, digits = "negative" if value < 0 else "positive", value.bit_length()
         return f"a {sign} integer of ~{round(digits * math.log10(2))} digits"
 
@@ -182,7 +216,7 @@ class FockState:
                 )
             if occ in checked:
                 raise ConfigError(f"two keys name occupation {_shown(occ)}")
-            checked[occ] = complex(amp)
+            checked[occ] = _amplitude(amp, "amplitude")
         self.register = register
         self.terms = _kept(checked)
 
@@ -394,7 +428,7 @@ def superpose(addends: Iterable[tuple[complex, FockState]]) -> FockState:
     base = addends[0][1].register
     combined: dict[Occupation, complex] = {}
     for coeff, state in addends:
-        aligned = state.align_to(base)
-        for occ, amp in aligned.terms.items():
-            combined[occ] = combined.get(occ, 0j) + complex(coeff) * amp
+        coeff = _amplitude(coeff, "superpose coefficient")
+        for occ, amp in state.align_to(base).terms.items():
+            combined[occ] = combined.get(occ, 0j) + coeff * amp
     return FockState(base, combined).normalize()

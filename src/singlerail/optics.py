@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _kept, _readout_plan, _renormalized, _slots
+from .fock import _count, _kept, _readout_plan, _real, _renormalized, _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -157,18 +158,20 @@ class QndConfig:
             raise ConfigError("QND needs at least one monitored mode")
         if len(set(self.monitored)) != len(self.monitored):
             raise ConfigError(f"duplicate monitored modes: {self.monitored!r}")
+        object.__setattr__(self, "theta", _real(self.theta, "probe angle"))
 
     def outcome_classes(self, cutoff: int) -> list[frozenset[int]]:
         """Partition of possible counts {0..cutoff} by homodyne visibility."""
-        return list(_outcome_classes(self.theta, cutoff)[0])
+        return list(_outcome_classes(self.theta, _count(cutoff, "photon cutoff"))[0])
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _outcome_classes(theta: float, cutoff: int) -> tuple[tuple, tuple]:
-    """The outcome classes of a probe at ``theta`` over counts 0..cutoff,
-    and the class of each count; a non-finite phase is a ``ConfigError``."""
-    if not math.isfinite(theta):
-        raise ConfigError(f"probe angle must be finite, got {theta!r}")
+    """The outcome classes of a probe at a finite ``theta`` over counts
+    0..cutoff, and the class of each count; a cutoff past the float range
+    (``n * theta`` reads n as a float) or an overflowing phase is a
+    ``ConfigError``."""
+    _count(cutoff, "photon cutoff", most=sys.float_info.max)
     if not math.isfinite(cutoff * theta):
         raise ConfigError(f"probe angle {theta!r}: phase at {cutoff} photons overflows")
     groups: list[tuple[float, set[int]]] = []

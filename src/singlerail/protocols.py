@@ -25,7 +25,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     RegisterError,
 )
 from .fock import DEFAULT_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
-from .fock import Occupation, _count, _renormalized, _shown
+from .fock import Occupation, _amplitude, _count, _real, _renormalized
 from .optics import (
     BeamSplitter,
     _outcome_classes,
@@ -68,11 +67,9 @@ class SourceParams:
     theta_ab: float = 0.0
 
     def __post_init__(self):
-        for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not (isinstance(p, Real) and 0.0 < p < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {_shown(p)}")
-        if not math.isfinite(self.theta_ab):
-            raise ConfigError(f"theta_ab must be finite, got {self.theta_ab!r}")
+        for name in ("p_a", "p_b"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, 1))
+        object.__setattr__(self, "theta_ab", _real(self.theta_ab, "theta_ab"))
 
 
 def _past_float_max() -> ConfigError:
@@ -116,8 +113,8 @@ class SingleRailPair:
         mode_b: ModeId = "b",
     ) -> "SingleRailPair":
         """Normalize and rotate raw coefficients into canonical form."""
-        coeff_a = complex(coeff_a)
-        coeff_b = complex(coeff_b)
+        coeff_a = _amplitude(coeff_a, "coeff_a")
+        coeff_b = _amplitude(coeff_b, "coeff_b")
         try:
             norm = math.sqrt(abs(coeff_a) ** 2 + abs(coeff_b) ** 2)
         except OverflowError:
@@ -374,21 +371,13 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
 # -- concentration ---------------------------------------------------------------
 
 
-def _check_copies(
-    pair1: SingleRailPair, pair2: SingleRailPair, allow_unequal_phases: bool
-) -> None:
-    if abs(pair1.alpha - pair2.alpha) > PAIR_MATCH_TOL or abs(
-        abs(pair1.beta) - abs(pair2.beta)
-    ) > PAIR_MATCH_TOL:
+def _check_copies(pair1: SingleRailPair, pair2: SingleRailPair) -> None:
+    gaps = abs(pair1.alpha - pair2.alpha), abs(pair1.beta - pair2.beta)
+    if any(gap > PAIR_MATCH_TOL for gap in gaps):
         raise ContractError(
-            "concentration needs two copies with identical moduli: "
-            f"({pair1.alpha:.12g}, {abs(pair1.beta):.12g}) vs "
-            f"({pair2.alpha:.12g}, {abs(pair2.beta):.12g})"
-        )
-    if not allow_unequal_phases and abs(pair1.beta - pair2.beta) > PAIR_MATCH_TOL:
-        raise ContractError(
-            "pair phases differ; pass allow_unequal_phases=True to explore "
-            "phase sensitivity deliberately"
+            "concentration needs two copies of one pair: "
+            f"({pair1.alpha:.12g}, {pair1.beta:.12g}) vs "
+            f"({pair2.alpha:.12g}, {pair2.beta:.12g})"
         )
 
 
@@ -400,13 +389,11 @@ def _probe(qnd_theta: float) -> tuple:
     return class_of, {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
 
 
-def _readings(
-    pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float, allow_unequal: bool
-) -> tuple:
+def _readings(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float) -> tuple:
     """The station of a round on two copies and, as ``qnd_measure`` reads their
     joint kets, per class of positive weight in class order: the class, its
     verdict (action and label, a herald record), weight and kets renormalized."""
-    _check_copies(pair1, pair2, allow_unequal)
+    _check_copies(pair1, pair2)
     modes = pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b
     register, station = _station("concentration", modes)
     class_of, verdicts = _probe(qnd_theta)
@@ -442,7 +429,7 @@ def _step(pair: SingleRailPair, qnd_theta: float) -> tuple:
     (label, probability, action) in ``concentration_round``'s order, labelled
     by detector if kept, else by probe class, and the recycled pair or None."""
     register, station, readings = _readings(
-        pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta, False
+        pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
     )
     branches, recycled = [], None
     for _, (action, label), prob, kets in readings:
@@ -457,11 +444,7 @@ def _step(pair: SingleRailPair, qnd_theta: float) -> tuple:
 
 
 def concentration_round(
-    pair1: SingleRailPair,
-    pair2: SingleRailPair,
-    qnd_theta: float = math.pi,
-    *,
-    allow_unequal_phases: bool = False,
+    pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float = math.pi
 ) -> list[ProtocolResult]:
     """One concentration attempt on two identical pairs.
 
@@ -479,9 +462,8 @@ def concentration_round(
 
     Returns every branch; probabilities sum to one.
     """
-    register, station, readings = _readings(
-        pair1, pair2, qnd_theta, allow_unequal_phases
-    )
+    qnd_theta = _real(qnd_theta, "probe angle")
+    register, station, readings = _readings(pair1, pair2, qnd_theta)
     results = []
     for cls, (action, label), prob, kets in readings:
         qnd_event = HeraldEvent("qnd", label, prob)
@@ -574,6 +556,7 @@ def iterate_concentration(
     rounds simply record zero attempts.
     """
     rounds = _count(rounds, "round count")
+    qnd_theta = _real(qnd_theta, "probe angle")
     entries = []
     current: SingleRailPair | None = pair
     attempts = 0.5
@@ -651,6 +634,7 @@ def run_monte_carlo(
     """
     trials = _count(trials, "trials")
     seed = _count(seed, "seed", 0)
+    qnd_theta = _real(qnd_theta, "probe angle")
     branches = [(_TAGS[a].value, label, p) for label, p, a in _step(pair, qnd_theta)[0]]
     import numpy as np  # deferred: only a run that draws pays the import
 

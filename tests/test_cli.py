@@ -627,6 +627,18 @@ class TestOutputEncoding:
         assert "config error: cannot write output" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("output", [[1, 2], True, {"a": 1}, 3], ids=repr)
+    def test_output_that_is_not_a_string(
+        self, tmp_path, capsys, monkeypatch, output
+    ):
+        # str() of the value would name a file such as "[1, 2]" or "True"
+        cfg = write_config(tmp_path, alpha_sq=0.8, rounds=2, output=output)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["yield", "--config", cfg], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"config error: output must be a string, got {output!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=[0.5, 0.8], rounds=3, trials=10_000, seed=12)
         outs = []

@@ -1,21 +1,36 @@
 """Public entry points refuse out-of-domain numbers with a ``ConfigError``.
 
-Every probe angle passes through ``optics._outcome_classes``, which
-refuses a non-finite one and one whose phase at the cutoff overflows,
-and ``SourceParams`` refuses a non-finite ``theta_ab``.  Every public count (trials, rounds, swaps, a round index)
-and seed is read through ``fock._count``: floats, bools and strings are
-refused, a count below 1 or a seed below 0 is refused, even one too long
-for ``str``, and an integer type such as ``numpy.int64`` gives the same
-results, ``repr`` included, as the equal ``int``.  A guard walks
-``singlerail.__all__`` so that a new public count or seed parameter
-cannot skip these tables.  The closed form caps its round at 1024,
-past which its divisor overflows.  ``SourceParams`` refuses a non-number.
-An integer too long for ``str`` in a message is named by sign and length.
+Each kind of number has one reader in ``fock``, called once where a
+public entry point takes the value:
+
+* ``_count`` reads every count (trials, rounds, swaps, a round index, a
+  photon cutoff) and seed: floats, bools and strings are refused, a
+  count below 1 or a seed below 0 is refused, even one too long for
+  ``str``;
+* ``_real`` reads every probe angle, ``theta_ab``, ``p_a`` and ``p_b``:
+  bools, strings, complex numbers, containers and values that are not
+  finite floats are refused, and ``p_a``/``p_b`` must lie in (0, 1);
+* ``_amplitude`` reads every caller's amplitude (the terms of
+  ``FockState``, the coefficients of ``superpose`` and
+  ``from_coefficients``, the ``alpha``/``beta`` of the yield functions):
+  bools, strings, containers and values past the float range are
+  refused; NaN and inf are left to the rule that owns them.
+
+A numpy scalar gives the same results, ``repr`` included, as the equal
+Python number.  A probe angle whose phase at the cutoff overflows, and a
+cutoff past the float range, are refused before the probe's loop over
+counts.  Guards walk ``singlerail.__all__`` so that a new public count,
+seed, real or amplitude parameter cannot skip these tables.  The closed
+form caps its round at 1024, past which its divisor overflows.  An
+integer too long for ``str`` in a message is named by sign and length.
 """
 
+import contextlib
 import inspect
 import itertools
 import math
+import signal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +43,7 @@ from singlerail import (
     ModeRegister,
     QndConfig,
     RegisterError,
+    SingleRailPair,
     SourceParams,
     compare_yield,
     concentration_round,
@@ -35,6 +51,8 @@ from singlerail import (
     monte_carlo_yield,
     qnd_measure,
     run_monte_carlo,
+    single_photon,
+    superpose,
     swap_chain_trace,
     yield_oracle,
     yield_series,
@@ -82,6 +100,43 @@ SEED_ENTRY_POINTS = {
     "run_monte_carlo": lambda s: run_monte_carlo(PAIR, 100, seed=s),
 }
 
+#: each public real parameter, as "callable.parameter", called with ``x``
+REAL_ENTRY_POINTS = {
+    "QndConfig.theta": lambda x: QndConfig(("b",), x),
+    "SourceParams.p_a": lambda x: SourceParams(x, 0.2),
+    "SourceParams.p_b": lambda x: SourceParams(0.2, x),
+    "SourceParams.theta_ab": lambda x: SourceParams(0.1, 0.2, x),
+    "concentration_round.qnd_theta": lambda x: concentration_round(*_pairs(), x),
+    "iterate_concentration.qnd_theta": lambda x: iterate_concentration(PAIR, 3, x),
+    "run_monte_carlo.qnd_theta": lambda x: run_monte_carlo(PAIR, 100, x, seed=3),
+    "yield_oracle.qnd_theta": lambda x: yield_oracle(PAIR.alpha, PAIR.beta, 3, x),
+    "compare_yield.qnd_theta": lambda x: compare_yield(PAIR.alpha, PAIR.beta, 3, x),
+}
+
+TWO_MODES = ModeRegister(("a", "b"))
+
+#: each public amplitude, as "callable.parameter", called with ``z``
+AMPLITUDE_ENTRY_POINTS = {
+    "FockState.terms": lambda z: FockState(TWO_MODES, {(1, 0): z, (0, 1): 0.8}),
+    "superpose.addends": lambda z: superpose(
+        [(z, single_photon(TWO_MODES, "a")), (0.8, single_photon(TWO_MODES, "b"))]
+    ),
+    "SingleRailPair.from_coefficients.coeff_a": (
+        lambda z: SingleRailPair.from_coefficients(z, 0.8)
+    ),
+    "SingleRailPair.from_coefficients.coeff_b": (
+        lambda z: SingleRailPair.from_coefficients(0.6, z)
+    ),
+    "yield_term.alpha": lambda z: yield_term(z, 0.8, 3),
+    "yield_term.beta": lambda z: yield_term(0.6, z, 3),
+    "yield_series.alpha": lambda z: yield_series(z, 0.8, 3),
+    "yield_series.beta": lambda z: yield_series(0.6, z, 3),
+    "yield_oracle.alpha": lambda z: yield_oracle(z, 0.8, 3),
+    "yield_oracle.beta": lambda z: yield_oracle(0.6, z, 3),
+    "compare_yield.alpha": lambda z: compare_yield(z, 0.8, 3),
+    "compare_yield.beta": lambda z: compare_yield(0.6, z, 3),
+}
+
 #: past ``sys.get_int_max_str_digits()``: ``str`` of it raises ``ValueError``
 TOO_LONG_FOR_STR = pytest.param(-(10**5000), id="minus-10**5000")
 
@@ -89,6 +144,26 @@ TOO_LONG_FOR_STR = pytest.param(-(10**5000), id="minus-10**5000")
 COUNT_OR_SEED_PARAMETERS = {"trials", "rounds", "n_rounds", "n_swaps", "n", "seed"}
 #: result records whose fields echo the counts their producer read
 RESULT_RECORDS = {"MonteCarloStats"}
+
+#: parameter names that carry a real number, and those that carry an amplitude
+REAL_PARAMETERS = {"theta", "qnd_theta", "theta_ab", "p_a", "p_b"}
+AMPLITUDE_PARAMETERS = {"alpha", "beta", "coeff_a", "coeff_b"}
+#: records whose fields echo the reals their producer read, and the
+#: canonical pair, whose direct construction keeps its own NaN checks
+READ_RECORDS = {"IterationLedger", "MonteCarloStats", "SingleRailPair"}
+
+#: values neither the real nor the amplitude reader accepts
+NOT_NUMBERS = [
+    pytest.param(value, id=name)
+    for name, value in (
+        ("True", True),
+        ("str", "0.3"),
+        ("None", None),
+        ("list", [0.3]),
+        ("array", np.array([0.3])),
+        ("10**400", 10**400),
+    )
+]
 
 
 class TestNonFiniteProbeAngles:
@@ -163,6 +238,18 @@ class TestCountsAreIntegers:
         assert str(excinfo.value) == f"p_a must lie in (0, 1), got {huge}"
         with pytest.raises(ConfigError, match="p_b must lie in .* a negative integer"):
             SourceParams(0.2, -(10**5000))
+        # another value too long for str is named by its type
+        for tiny in (Fraction(1, 10**5000), Fraction(-1, 10**5000)):  # float() gives 0
+            with pytest.raises(ConfigError) as excinfo:
+                SourceParams(tiny, 0.2)
+            assert str(excinfo.value) == (
+                "p_a must lie in (0, 1), got a Fraction too long to show"
+            )
+        with pytest.raises(ConfigError) as excinfo:
+            swap_chain_trace(PAIR, Fraction(10**5000))
+        assert str(excinfo.value) == (
+            "swap count must be an integer, got a Fraction too long to show"
+        )
         # ordinary values keep their bytes
         with pytest.raises(CapacityError) as excinfo:
             FockState(ModeRegister(("a",)), {(3,): 1.0})
@@ -224,3 +311,124 @@ def test_every_public_count_and_seed_is_in_a_table():
     }
     assert {n for n, p in params.items() if p - {"seed"}} == set(COUNT_ENTRY_POINTS)
     assert {n for n, p in params.items() if "seed" in p} == set(SEED_ENTRY_POINTS)
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise ``TimeoutError`` inside the block once it has run ``seconds``."""
+
+    def late(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCutoffPastTheFloatRange:
+    # the probe reads cos(n * theta) for n in 0..cutoff, and n * theta reads
+    # n as a float; at theta 0 nothing else would end that loop
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
+    def test_outcome_classes(self, theta):
+        with _within(2.0), pytest.raises(ConfigError, match="photon cutoff must be <="):
+            QndConfig(("b",), theta).outcome_classes(10**400)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
+    def test_qnd_measure(self, theta):
+        reg = ModeRegister(("a", "b"), 10**400)
+        state = FockState(reg, {(1, 0): 0.6, (0, 1): 0.8})
+        with _within(2.0), pytest.raises(ConfigError, match="photon cutoff must be <="):
+            qnd_measure(state, QndConfig(("b",), theta))
+
+    @pytest.mark.parametrize("cutoff", [True, 2.0, "2", 0])
+    def test_the_cutoff_is_read_as_a_count(self, cutoff):
+        with pytest.raises(ConfigError, match="photon cutoff must be"):
+            QndConfig(("b",), math.pi).outcome_classes(cutoff)
+
+
+class TestRealsAndAmplitudes:
+    @pytest.mark.parametrize("value", [*NOT_NUMBERS, pytest.param(1j, id="1j")])
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_reals_refuse_what_is_not_a_finite_real(self, entry, value):
+        with pytest.raises(ConfigError):
+            REAL_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("entry", sorted(AMPLITUDE_ENTRY_POINTS))
+    def test_amplitudes_refuse_what_is_not_a_number(self, entry, value):
+        with pytest.raises(ConfigError):
+            AMPLITUDE_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_numpy_reals_give_the_same_repr(self, entry):
+        call = REAL_ENTRY_POINTS[entry]
+        assert repr(call(np.float64(0.3))) == repr(call(0.3))
+
+    @pytest.mark.parametrize("entry", sorted(AMPLITUDE_ENTRY_POINTS))
+    def test_numpy_amplitudes_give_the_same_repr(self, entry):
+        call = AMPLITUDE_ENTRY_POINTS[entry]
+        assert repr(call(np.float64(0.6))) == repr(call(0.6))
+        assert repr(call(np.complex128(0.6 - 0.1j))) == repr(call(0.6 - 0.1j))
+
+    def test_reader_messages(self):
+        for call, message in (
+            (
+                lambda: QndConfig(("b",), True),
+                "probe angle must be a real number, got True",
+            ),
+            (
+                lambda: SourceParams(0.1, 0.2, 10**400),
+                "theta_ab must be finite, got 1" + "0" * 400,
+            ),
+            (
+                lambda: SourceParams(0.1, 1.5),
+                "p_b must lie in (0, 1), got 1.5",
+            ),
+            (
+                lambda: FockState(TWO_MODES, {(1, 0): "1"}),
+                "amplitude must be a complex float, got '1'",
+            ),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
+    def test_echoed_values_are_plain_floats(self):
+        ledger = iterate_concentration(PAIR, 3, np.float64(1.0))
+        assert type(ledger.qnd_theta) is float
+        assert type(run_monte_carlo(PAIR, 10, np.float64(1.0)).qnd_theta) is float
+        params = SourceParams(np.float64(0.1), np.float64(0.2), np.float64(0.5))
+        assert {type(v) for v in vars(params).values()} == {float}
+
+
+def _public_parameters(names: set[str]) -> set[str]:
+    """"callable.parameter" for each parameter in ``names`` of a callable in
+    ``singlerail.__all__`` or a public method of a class there."""
+    found = set()
+    for name in singlerail.__all__:
+        obj = getattr(singlerail, name)
+        if not callable(obj) or inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        members = {name: obj}
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    members[f"{name}.{attr}"] = getattr(obj, attr)
+        for qualified, member in members.items():
+            if qualified not in READ_RECORDS:
+                params = inspect.signature(member).parameters
+                found |= {f"{qualified}.{p}" for p in params if p in names}
+    return found
+
+
+def test_every_public_real_and_amplitude_is_in_a_table():
+    assert _public_parameters(REAL_PARAMETERS) == set(REAL_ENTRY_POINTS)
+    # "FockState.terms" and "superpose.addends" hold their amplitudes inside
+    named = {
+        k for k in AMPLITUDE_ENTRY_POINTS if k.split(".")[-1] in AMPLITUDE_PARAMETERS
+    }
+    assert _public_parameters(AMPLITUDE_PARAMETERS) == named

@@ -320,8 +320,6 @@ class TestConcentrationRound:
         p2 = make_pair(0.8, theta=0.5, mode_a="a2", mode_b="b2")
         with pytest.raises(ContractError):
             concentration_round(p1, p2)
-        res = concentration_round(p1, p2, allow_unequal_phases=True)
-        assert sum(r.probability for r in res) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_probabilities_sum_to_one(self):
         for theta in (math.pi, 1.0):
