@@ -32,24 +32,12 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Dec
 from fractions import Fraction
 
 from .errors import CapacityError, ConfigError
+from .fock import MAX_ORACLE_ROUNDS, MAX_ROUNDS, MAX_TRIALS
 from .fock import _amplitude, _count, _real, _shown, _weight
-from .optics import _outcome_classes
-from .protocols import (
-    KEEP,
-    RECYCLE,
-    IterationLedger,
-    SingleRailPair,
-    herald_action,
-)
+from .protocols import KEEP, RECYCLE, IterationLedger, SingleRailPair, _probe
 
 #: formula-vs-oracle differences above this are reported as discrepancies
 YIELD_MATCH_TOL = 1e-12
-
-#: oracle round cap: round n is fed by 2**n source pairs
-MAX_ORACLE_ROUNDS = 16
-
-#: closed-form round cap: past it the divisor 2.0 ** (n - 1) overflows
-MAX_FORMULA_ROUNDS = 1024
 
 #: decimal digits kept per value in the first pass of ``_oracle_floats``
 _START_DIGITS = 50
@@ -83,12 +71,12 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
     ``compare_yield`` surfaces those differences instead of reconciling
     them.
     """
-    n = _count(n, "round index", most=MAX_FORMULA_ROUNDS)
+    n = _count(n, "round index", most=MAX_ROUNDS)
     return _term(*(m**2 for m in _moduli(alpha, beta)), n)
 
 
 def yield_series(alpha: complex, beta: complex, n_rounds: int) -> list[float]:
-    n_rounds = _count(n_rounds, "round count", most=MAX_FORMULA_ROUNDS)
+    n_rounds = _count(n_rounds, "round count", most=MAX_ROUNDS)
     x, y = (m**2 for m in _moduli(alpha, beta))  # read once per series
     return [_term(x, y, n) for n in range(1, n_rounds + 1)]
 
@@ -132,14 +120,11 @@ class OracleRound:
 
 
 def _probe_actions(qnd_theta: float) -> set[str]:
-    """Herald actions the probe at ``qnd_theta`` can report on two pairs.
-
-    The same rule the state-vector walk applies: ``herald_action`` over
-    the probe's outcome classes for up to two monitored photons.  No
-    amplitude is read.
-    """
-    classes, _ = _outcome_classes(_real(qnd_theta, "probe angle"), 2)
-    return {herald_action(cls) for cls in classes}
+    """Herald actions the probe at ``qnd_theta`` can report on two pairs,
+    read from the walk's own probe (``protocols._probe``).  No amplitude
+    is read."""
+    verdicts = _probe(_real(qnd_theta, "probe angle"))[1]
+    return {action for action, _ in verdicts.values()}
 
 
 def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> tuple:
@@ -241,7 +226,7 @@ def monte_carlo_yield(
     ledger's state-vector walk recorded; the multinomial draws are the
     only stochastic element and are fully determined by ``seed``.
     """
-    trials = _count(trials, "trials")
+    trials = _count(trials, "trials", most=MAX_TRIALS)
     seed = _count(seed, "seed", 0)
     import numpy as np  # deferred: only a run that draws pays the import
 

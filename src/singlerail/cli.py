@@ -24,14 +24,9 @@ import sys
 from dataclasses import dataclass, fields
 from decimal import MAX_EMAX, MIN_EMIN, Context
 
-from .analytics import (
-    MAX_ORACLE_ROUNDS,
-    compare_yield,
-    entanglement_ratio,
-    monte_carlo_yield,
-)
+from .analytics import compare_yield, entanglement_ratio, monte_carlo_yield
 from .errors import ConfigError, SingleRailError
-from .fock import _count, _real
+from .fock import MAX_ORACLE_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS, _count, _real
 from .protocols import (
     SingleRailPair,
     SourceParams,
@@ -50,14 +45,14 @@ CLOSED_FORM_TOL = 1e-12
 #: the commands that draw ``trials`` samples; the others accept only 0
 _SAMPLING_COMMANDS = ("generate", "concentrate")
 
-#: trials cap: 2**30 draws take seconds per row, and larger counts
-#: overflow numpy's samplers or run for hours
-MAX_TRIALS = 2**30
-
-#: swap-chain depth cap: every swap adds a table row and takes about
-#: 0.03 ms, so 10**5 swaps take about 4 s per alpha_sq point, table and
-#: reference included (measured on a shared 2-vCPU Xeon, Python 3.11)
-MAX_SWAP_DEPTH = 10**5
+#: the config's counts as (key, least, most), read in this order; the
+#: exact oracle enumerates at most MAX_ORACLE_ROUNDS rounds
+_COUNTS = (
+    ("rounds", 1, MAX_ORACLE_ROUNDS),
+    ("swap_depth", 1, MAX_SWAP_DEPTH),
+    ("trials", 0, MAX_TRIALS),
+    ("seed", 0, None),
+)
 
 #: digits of the swap-chain reference: its rounding, which grows by about
 #: one unit in the last digit per swap, stays far below CLOSED_FORM_TOL
@@ -136,15 +131,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.theta_ab = _as_angle(merged["theta_ab"], "theta_ab")
     if "qnd_theta" in merged:
         cfg.qnd_theta = _as_angle(merged["qnd_theta"], "qnd_theta")
-    if "rounds" in merged:
-        # the exact oracle enumerates at most this many rounds
-        cfg.rounds = _count(merged["rounds"], "rounds", 1, MAX_ORACLE_ROUNDS)
-    if "swap_depth" in merged:
-        cfg.swap_depth = _count(merged["swap_depth"], "swap_depth", 1, MAX_SWAP_DEPTH)
-    if "trials" in merged:
-        cfg.trials = _count(merged["trials"], "trials", 0, MAX_TRIALS)
-    if "seed" in merged:
-        cfg.seed = _count(merged["seed"], "seed", 0)
+    for key, least, most in _COUNTS:
+        if key in merged:
+            setattr(cfg, key, _count(merged[key], key, least, most))
     for key in ("trials", "seed"):
         value = getattr(cfg, key)
         if value and args.command not in _SAMPLING_COMMANDS:

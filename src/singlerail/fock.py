@@ -8,8 +8,9 @@ occupation vectors to complex amplitudes rather than as a dense tensor.
 Conventions enforced here:
 
 * the register fixes mode order, names and the total photon-number cutoff
-  (default 2); pushing a state past the cutoff raises ``CapacityError``
-  instead of truncating, which catches protocol wiring bugs early;
+  (default 2, at most ``MAX_CUTOFF`` = 32); pushing a state past the
+  cutoff raises ``CapacityError`` instead of truncating, which catches
+  protocol wiring bugs early;
 * states are immutable, every operation returns a new ``FockState``;
 * creation operators follow the usual ladder normalization,
   ``a^dag |n> = sqrt(n+1) |n+1>``, and do not renormalize the state;
@@ -38,6 +39,22 @@ NORM_TOL = 1e-12
 DEFAULT_CUTOFF = 2
 #: entries per plan cache; a swap chain or a sweep reuses one register per cache
 PLAN_CACHE_SIZE = 128
+
+# -- limits: the cap of every public count, read through ``_count(most=...)``
+#: photon cutoff: the beam splitter keeps every ket of up to 32 photons
+#: within 1e-14 of unit norm, and passes NORM_TOL from 71 photons on
+MAX_CUTOFF = 32
+#: rounds of the closed form and of the walk: past 1024 the closed form's
+#: divisor 2.0 ** (n - 1) overflows
+MAX_ROUNDS = 1024
+#: rounds of the exact oracle (a ``CapacityError``): 2**n source pairs feed round n
+MAX_ORACLE_ROUNDS = 16
+#: swap-chain depth: every swap adds a table row; 10**5 swaps take about
+#: 4 s per alpha_sq point, table and reference included (2-vCPU Xeon)
+MAX_SWAP_DEPTH = 10**5
+#: Monte Carlo trials: 2**30 draws take seconds, and larger counts
+#: overflow numpy's samplers or run for hours
+MAX_TRIALS = 2**30
 
 #: modes are addressed by name; the register maps names to vector slots
 ModeId = str
@@ -146,7 +163,7 @@ class ModeRegister:
             raise ConfigError("a mode register needs at least one mode")
         if len(set(names)) != len(names):
             raise RegisterError(f"duplicate mode names in {names!r}")
-        cutoff = _count(cutoff, "photon cutoff")
+        cutoff = _count(cutoff, "photon cutoff", most=MAX_CUTOFF)
         self.names = names
         self.cutoff = cutoff
         self._index = {name: i for i, name in enumerate(names)}
@@ -182,7 +199,7 @@ class ModeRegister:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"ModeRegister({', '.join(self.names)}; cutoff={_shown(self.cutoff)})"
+        return f"ModeRegister({', '.join(self.names)}; cutoff={self.cutoff})"
 
 
 class FockState:
@@ -212,7 +229,7 @@ class FockState:
                 )
             if sum(occ) > register.cutoff:
                 raise CapacityError(
-                    f"occupation {_shown(occ)} exceeds cutoff {_shown(register.cutoff)}"
+                    f"occupation {_shown(occ)} exceeds cutoff {register.cutoff}"
                 )
             if occ in checked:
                 raise ConfigError(f"two keys name occupation {_shown(occ)}")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _count, _kept, _readout_plan, _real, _renormalized, _slots
+from .fock import MAX_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
+from .fock import Occupation, _count, _kept, _readout_plan, _real, _renormalized, _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -162,16 +161,15 @@ class QndConfig:
 
     def outcome_classes(self, cutoff: int) -> list[frozenset[int]]:
         """Partition of possible counts {0..cutoff} by homodyne visibility."""
-        return list(_outcome_classes(self.theta, _count(cutoff, "photon cutoff"))[0])
+        cutoff = _count(cutoff, "photon cutoff", most=MAX_CUTOFF)
+        return list(_outcome_classes(self.theta, cutoff)[0])
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _outcome_classes(theta: float, cutoff: int) -> tuple[tuple, tuple]:
     """The outcome classes of a probe at a finite ``theta`` over counts
-    0..cutoff, and the class of each count; a cutoff past the float range
-    (``n * theta`` reads n as a float) or an overflowing phase is a
-    ``ConfigError``."""
-    _count(cutoff, "photon cutoff", most=sys.float_info.max)
+    0..cutoff, a count its caller has read, and the class of each count;
+    an overflowing phase is a ``ConfigError``."""
     if not math.isfinite(cutoff * theta):
         raise ConfigError(f"probe angle {theta!r}: phase at {cutoff} photons overflows")
     groups: list[tuple[float, set[int]]] = []

@@ -34,8 +34,9 @@ from .errors import (
     ParameterWarning,
     RegisterError,
 )
-from .fock import DEFAULT_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
-from .fock import Occupation, _amplitude, _count, _real, _renormalized
+from .fock import DEFAULT_CUTOFF, MAX_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS
+from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
+from .fock import _amplitude, _count, _real, _renormalized
 from .optics import (
     BeamSplitter,
     _outcome_classes,
@@ -353,7 +354,7 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
     station and reads only the D1 outcome's kets.  The k-th entry spans k+1
     links, so its coefficient ratio is the input ratio to the power k+1.
     """
-    n_swaps = _count(n_swaps, "swap count")
+    n_swaps = _count(n_swaps, "swap count", most=MAX_SWAP_DEPTH)
     register, station = _station("swap", ("a", "b", "c", "d"))
     current, trace = pair, []
     for _ in range(n_swaps):
@@ -555,7 +556,7 @@ def iterate_concentration(
     per attempt; with a generic QND angle nothing is recyclable and later
     rounds simply record zero attempts.
     """
-    rounds = _count(rounds, "round count")
+    rounds = _count(rounds, "round count", most=MAX_ROUNDS)
     qnd_theta = _real(qnd_theta, "probe angle")
     entries = []
     current: SingleRailPair | None = pair
@@ -632,7 +633,7 @@ def run_monte_carlo(
     only stochastic element and is fully determined by ``seed``.
     Frequencies are aggregated per tag with binomial standard errors.
     """
-    trials = _count(trials, "trials")
+    trials = _count(trials, "trials", most=MAX_TRIALS)
     seed = _count(seed, "seed", 0)
     qnd_theta = _real(qnd_theta, "probe angle")
     branches = [(_TAGS[a].value, label, p) for label, p, a in _step(pair, qnd_theta)[0]]

@@ -70,7 +70,11 @@ VALID = {
     "format": st.sampled_from(["csv", "json"]),
 }
 #: out-of-range values of the capped counts, next to the generic junk
-PAST_CAPS = {"swap_depth": MAX_SWAP_DEPTH + 1, "trials": MAX_TRIALS + 1, "rounds": 17}
+PAST_CAPS = {
+    "swap_depth": MAX_SWAP_DEPTH + 1,
+    "trials": MAX_TRIALS + 1,
+    "rounds": MAX_ORACLE_ROUNDS + 1,
+}
 #: config texts the generator cannot write: integers past Python's
 #: 4300-digit ``str`` limit, a document cut off mid-number, bad UTF-8
 RAW_CONFIGS = {

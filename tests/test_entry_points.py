@@ -16,19 +16,24 @@ public entry point takes the value:
   bools, strings, containers and values past the float range are
   refused; NaN and inf are left to the rule that owns them.
 
-A numpy scalar gives the same results, ``repr`` included, as the equal
-Python number.  A probe angle whose phase at the cutoff overflows, and a
-cutoff past the float range, are refused before the probe's loop over
-counts.  Guards walk ``singlerail.__all__`` so that a new public count,
-seed, real or amplitude parameter cannot skip these tables.  The closed
-form caps its round at 1024, past which its divisor overflows.  An
-integer too long for ``str`` in a message is named by sign and length.
+Every public count has a cap, one ``MAX_*`` constant of ``fock``'s
+limits table, defined nowhere else: one past it is refused at once, by
+a ``ConfigError`` "... must be <= cap" or, for the exact oracle, its
+``CapacityError``; seeds have no cap.  The photon cutoff's cap (32)
+also bounds the probe's loop over counts.  A numpy scalar gives the
+same results, ``repr`` included, as the equal Python number.  A probe
+angle whose phase at the cutoff overflows is refused before that loop.
+Guards walk ``singlerail.__all__`` so that a new public count, seed,
+real or amplitude parameter cannot skip these tables.  An integer too
+long for ``str`` in a message is named by sign and length.
 """
 
+import ast
 import contextlib
 import inspect
 import itertools
 import math
+import pathlib
 import signal
 from fractions import Fraction
 
@@ -58,6 +63,7 @@ from singlerail import (
     yield_series,
     yield_term,
 )
+from singlerail import fock
 from conftest import make_pair
 
 PAIR = make_pair(0.8, theta=0.3)
@@ -84,6 +90,7 @@ ANGLE_ENTRY_POINTS = {
 
 #: each public entry point that takes a count, called with count ``n``
 COUNT_ENTRY_POINTS = {
+    "ModeRegister": lambda n: ModeRegister(("a", "b"), n),
     "monte_carlo_yield": lambda n: monte_carlo_yield(LEDGER, n, seed=3),
     "run_monte_carlo": lambda n: run_monte_carlo(PAIR, n, seed=3),
     "iterate_concentration": lambda n: iterate_concentration(PAIR, n),
@@ -93,6 +100,24 @@ COUNT_ENTRY_POINTS = {
     "yield_series": lambda n: yield_series(PAIR.alpha, PAIR.beta, n),
     "yield_term": lambda n: yield_term(PAIR.alpha, PAIR.beta, n),
 }
+
+#: the cap of each public count, a constant of ``fock``'s limits table
+COUNT_CAPS = {
+    "ModeRegister": fock.MAX_CUTOFF,
+    "monte_carlo_yield": fock.MAX_TRIALS,
+    "run_monte_carlo": fock.MAX_TRIALS,
+    "iterate_concentration": fock.MAX_ROUNDS,
+    "swap_chain_trace": fock.MAX_SWAP_DEPTH,
+    "yield_oracle": fock.MAX_ORACLE_ROUNDS,
+    "compare_yield": fock.MAX_ORACLE_ROUNDS,
+    "yield_series": fock.MAX_ROUNDS,
+    "yield_term": fock.MAX_ROUNDS,
+}
+#: the counts whose cap refuses with the oracle's pinned ``CapacityError``
+ORACLE_COUNTS = {"yield_oracle", "compare_yield"}
+#: the counts cheap enough to run at their cap here; the closed form runs
+#: at its cap in ``TestClosedFormRoundCap``
+CHEAP_CAPS = {"ModeRegister", "iterate_concentration"}
 
 #: each public entry point that takes a seed, called with seed ``s``
 SEED_ENTRY_POINTS = {
@@ -141,7 +166,15 @@ AMPLITUDE_ENTRY_POINTS = {
 TOO_LONG_FOR_STR = pytest.param(-(10**5000), id="minus-10**5000")
 
 #: parameter names that carry a count or a seed
-COUNT_OR_SEED_PARAMETERS = {"trials", "rounds", "n_rounds", "n_swaps", "n", "seed"}
+COUNT_OR_SEED_PARAMETERS = {
+    "trials",
+    "rounds",
+    "n_rounds",
+    "n_swaps",
+    "n",
+    "cutoff",
+    "seed",
+}
 #: result records whose fields echo the counts their producer read
 RESULT_RECORDS = {"MonteCarloStats"}
 
@@ -311,6 +344,41 @@ def test_every_public_count_and_seed_is_in_a_table():
     }
     assert {n for n, p in params.items() if p - {"seed"}} == set(COUNT_ENTRY_POINTS)
     assert {n for n, p in params.items() if "seed" in p} == set(SEED_ENTRY_POINTS)
+    # every public count has a finite cap, and it is a limits-table constant
+    limits = {v for k, v in vars(fock).items() if k.startswith("MAX_")}
+    assert set(COUNT_CAPS) == set(COUNT_ENTRY_POINTS)
+    assert set(COUNT_CAPS.values()) <= limits
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_one_past_the_cap_is_refused_at_once(entry):
+    most = COUNT_CAPS[entry]
+    if entry in ORACLE_COUNTS:
+        refusal = pytest.raises(CapacityError, match=f"at most {most} rounds")
+    else:
+        refusal = pytest.raises(ConfigError, match=f"must be <= {most}, got {most + 1}$")
+    with _within(2.0), refusal:
+        COUNT_ENTRY_POINTS[entry](most + 1)
+
+
+@pytest.mark.parametrize("entry", sorted(CHEAP_CAPS))
+def test_the_cheap_caps_run_at_the_cap(entry):
+    with _within(2.0):
+        COUNT_ENTRY_POINTS[entry](COUNT_CAPS[entry])
+
+
+def test_every_cap_is_defined_in_the_limits_table_alone():
+    # a top-level MAX_* assignment outside fock.py would be a second table
+    src = pathlib.Path(fock.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                    found.setdefault(target.id, []).append(path.name)
+    assert found and all(files == ["fock.py"] for files in found.values()), found
 
 
 @contextlib.contextmanager
@@ -329,9 +397,9 @@ def _within(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-class TestCutoffPastTheFloatRange:
-    # the probe reads cos(n * theta) for n in 0..cutoff, and n * theta reads
-    # n as a float; at theta 0 nothing else would end that loop
+class TestCutoffPastTheCap:
+    # the probe reads cos(n * theta) for n in 0..cutoff; the cap bounds that
+    # loop, which at theta 0 nothing else would end
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
     def test_outcome_classes(self, theta):
         with _within(2.0), pytest.raises(ConfigError, match="photon cutoff must be <="):
@@ -339,9 +407,17 @@ class TestCutoffPastTheFloatRange:
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
     def test_qnd_measure(self, theta):
-        reg = ModeRegister(("a", "b"), 10**400)
-        state = FockState(reg, {(1, 0): 0.6, (0, 1): 0.8})
         with _within(2.0), pytest.raises(ConfigError, match="photon cutoff must be <="):
+            reg = ModeRegister(("a", "b"), 10**400)
+            state = FockState(reg, {(1, 0): 0.6, (0, 1): 0.8})
+            qnd_measure(state, QndConfig(("b",), theta))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi])
+    def test_the_probe_runs_at_the_cap(self, theta):
+        reg = ModeRegister(("a", "b"), fock.MAX_CUTOFF)
+        state = FockState(reg, {(1, 0): 0.6, (0, 1): 0.8})
+        with _within(2.0):
+            QndConfig(("b",), theta).outcome_classes(fock.MAX_CUTOFF)
             qnd_measure(state, QndConfig(("b",), theta))
 
     @pytest.mark.parametrize("cutoff", [True, 2.0, "2", 0])

@@ -17,6 +17,7 @@ from singlerail import (
     single_photon,
     vacuum,
 )
+from singlerail.fock import MAX_CUTOFF, NORM_TOL
 from conftest import SCALES, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -120,6 +121,16 @@ def test_beam_splitter_unitarity_random(rng):
         s = random_state(rng, reg)
         out = apply_beam_splitter(s, bs)
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_beam_splitter_stays_unitary_up_to_the_cutoff_cap():
+    # the cap guards this: from 71 photons on some ket's norm passes NORM_TOL
+    reg = ModeRegister(("a", "b"), MAX_CUTOFF)
+    bs = BeamSplitter(("a", "b"), ("c", "d"), minus_input="b")
+    for total in range(MAX_CUTOFF + 1):
+        for n in range(total + 1):
+            out = apply_beam_splitter(basis_state(reg, (n, total - n)), bs)
+            assert abs(out.norm_sq() - 1.0) <= NORM_TOL, (n, total - n)
 
 
 def test_beam_splitter_involution(rng):
