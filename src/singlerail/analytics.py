@@ -128,17 +128,19 @@ def _probe_actions(qnd_theta: float) -> set[str]:
 
 
 def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> tuple:
-    """Domain checks; the round count and exact start weight x of both oracle paths."""
+    """Domain checks; the round count, the exact start weight x of both oracle
+    paths and the squared float moduli the closed form reads."""
     n_rounds = _count(n_rounds, "round count")
     if n_rounds > MAX_ORACLE_ROUNDS:
         raise CapacityError(
             f"oracle enumerates at most {MAX_ORACLE_ROUNDS} rounds "
             f"(2**n source pairs feed round n), got {_shown(n_rounds)}"
         )
-    a_sq, b_sq = (Fraction(m) ** 2 for m in _moduli(alpha, beta))
+    moduli = _moduli(alpha, beta)
+    a_sq, b_sq = (Fraction(m) ** 2 for m in moduli)
     if a_sq + b_sq == 0:
         raise ConfigError("alpha and beta cannot both vanish")
-    return n_rounds, a_sq / (a_sq + b_sq)
+    return n_rounds, a_sq / (a_sq + b_sq), [m**2 for m in moduli]
 
 
 def yield_oracle(
@@ -155,7 +157,7 @@ def yield_oracle(
     without a one-photon class keeps nothing, and one without the merged
     {0, 2} class recycles nothing, so later rounds see no attempts.
     """
-    n_rounds, x = _oracle_weight(alpha, beta, n_rounds)
+    n_rounds, x, _ = _oracle_weight(alpha, beta, n_rounds)
     actions = _probe_actions(qnd_theta)
     zero = Fraction(0)
 
@@ -349,10 +351,10 @@ def compare_yield(
     input to attempt) has an exactly zero oracle yield, and its formula
     value is 0 as well.
     """
-    n_rounds, x = _oracle_weight(alpha, beta, n_rounds)
+    n_rounds, x, (a_sq, b_sq) = _oracle_weight(alpha, beta, n_rounds)
     oracle, total, live = _oracle_floats(x, n_rounds, _probe_actions(qnd_theta))
-    formula = yield_series(alpha, beta, n_rounds)
-    formula = [value if n < live else 0.0 for n, value in enumerate(formula)]
+    rounds = range(1, n_rounds + 1)
+    formula = [_term(a_sq, b_sq, n) if n <= live else 0.0 for n in rounds]
     terms = []
     for n, (f_val, o_val) in enumerate(zip(formula, oracle), start=1):
         gap = abs(f_val - o_val)

@@ -12,9 +12,11 @@ into the next round instead of being discarded.
 
 Every protocol step returns all herald branches with exact probabilities.
 Control flow never inspects amplitudes: decisions are pure functions of
-herald records (see ``herald_action``).  The iterated walk and the sampler
-read one record-free concentration step; ``concentration_round`` and
-``recyclable_to_pair`` wrap records around the same arithmetic.
+herald records (see ``herald_action``).  One generator, ``_round``, walks
+the branches of a concentration round: the walk and the sampler read it
+through the record-free ``_step``, and ``concentration_round`` wraps its
+branches in records.  Kets become a pair in one reader, ``_pair_of``; the
+swap chain reads D1 through the stations' weigher, ``optics._weighed``.
 """
 
 from __future__ import annotations
@@ -37,13 +39,7 @@ from .errors import (
 from .fock import DEFAULT_CUTOFF, MAX_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
 from .fock import _amplitude, _count, _real, _renormalized
-from .optics import (
-    BeamSplitter,
-    _outcome_classes,
-    _outputs,
-    _weighed,
-    phase_flip,
-)
+from .optics import BeamSplitter, _outcome_classes, _outputs, _weighed, phase_flip
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,9 +77,10 @@ def _past_float_max() -> ConfigError:
 class SingleRailPair:
     """One photon delocalized over two modes: alpha|1,0> + beta|0,1>.
 
-    Canonical form: ``alpha`` is real and non-negative, the relative phase
-    lives entirely in the argument of ``beta``, and the coefficients are
-    normalized.  Use ``from_coefficients`` to build one from raw amplitudes.
+    Canonical form: ``alpha`` is a non-negative ``float``, the relative phase
+    lives entirely in the argument of the ``complex`` ``beta``, and the
+    coefficients are normalized; both are read as amplitudes (``_amplitude``).
+    Use ``from_coefficients`` to build one from raw amplitudes.
     """
 
     alpha: float
@@ -94,6 +91,13 @@ class SingleRailPair:
     def __post_init__(self):
         if self.mode_a == self.mode_b:
             raise RegisterError(f"pair modes must differ, got {self.mode_a!r} twice")
+        # the package's own pairs hold a float and a complex: no reader runs
+        if type(self.alpha) is not float or type(self.beta) is not complex:
+            alpha = _amplitude(self.alpha, "alpha")
+            object.__setattr__(self, "beta", _amplitude(self.beta, "beta"))
+            if alpha.imag:
+                raise ContractError("alpha must be real in canonical form")
+            object.__setattr__(self, "alpha", alpha.real)
         if self.alpha < 0.0:
             raise ContractError("alpha must be non-negative in canonical form")
         try:
@@ -128,12 +132,7 @@ class SingleRailPair:
             rotation = cmath.exp(-1j * cmath.phase(coeff_a))
         else:
             rotation = cmath.exp(-1j * cmath.phase(coeff_b))
-        return cls(
-            alpha=abs(coeff_a) / norm,
-            beta=coeff_b * rotation / norm,
-            mode_a=mode_a,
-            mode_b=mode_b,
-        )
+        return cls(abs(coeff_a) / norm, coeff_b * rotation / norm, mode_a, mode_b)
 
     @property
     def alpha_sq(self) -> float:
@@ -226,8 +225,7 @@ class ProtocolResult:
         if self.tag is not Tag.SUCCESS:
             return None
         state = self.corrected_state()
-        amps = state.amplitude((1, 0)), state.amplitude((0, 1))
-        return SingleRailPair.from_coefficients(*amps, *state.register.names)
+        return _pair_of(state.terms, state.register.names)
 
 
 def _class_label(cls: frozenset[int]) -> str:
@@ -305,6 +303,13 @@ def _label(station: BeamSplitter, fired: ModeId | None, pattern: tuple) -> str:
     return "D1" if fired == station.out_modes[0] else "D2"
 
 
+def _pair_of(kets: dict, names: tuple) -> SingleRailPair:
+    """The pair on modes ``names`` of the |10> and |01> amplitudes in ``kets``;
+    a ket that is missing or underflowed to zero reads 0j."""
+    a, b = kets.get((1, 0)) or 0j, kets.get((0, 1)) or 0j
+    return SingleRailPair.from_coefficients(a, b, *names)
+
+
 def _readout(register: ModeRegister, station: BeamSplitter, kets: dict) -> tuple:
     """The station's post-register and its outcomes on ``kets``, from its slot
     plan, as (pattern, fired, weight, kets renormalized) in readout order."""
@@ -359,12 +364,11 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
     current, trace = pair, []
     for _ in range(n_swaps):
         (*_, readout), out = _outputs(register, station, _joint(current, pair))
-        members = next(m for _, fired, m in readout if fired == station.out_modes[0])
-        # the other outcomes' weights are never taken: chain inputs are
-        # normalized pairs, so every product is <= 1 and no square overflows
-        _, post = _renormalized({k: out[o] for o, k in members if o in out})
-        amps = post.get((1, 0), 0j), post.get((0, 1), 0j)
-        current = SingleRailPair.from_coefficients(*amps, pair.mode_a, pair.mode_b)
+        # readout order puts D1 first, so no other outcome is weighed
+        pattern, fired, _, post = next(_weighed(readout, out), ((), None, 0.0, None))
+        if _label(station, fired, pattern) != "D1":
+            raise ContractError(f"a chain step read {pattern!r}, not D1's click")
+        current = _pair_of(post, (pair.mode_a, pair.mode_b))
         trace.append(current)
     return trace
 
@@ -390,10 +394,11 @@ def _probe(qnd_theta: float) -> tuple:
     return class_of, {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
 
 
-def _readings(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float) -> tuple:
-    """The station of a round on two copies and, as ``qnd_measure`` reads their
-    joint kets, per class of positive weight in class order: the class, its
-    verdict (action and label, a herald record), weight and kets renormalized."""
+def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float):
+    """Each branch of a round on two copies in record order: per class of
+    positive weight, as ``qnd_measure`` reads their joint kets, the class,
+    its verdict (action and label, a herald record) and weight; for a kept
+    click (detector, weight), else None; post-register and kets renormalized."""
     _check_copies(pair1, pair2)
     modes = pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b
     register, station = _station("concentration", modes)
@@ -401,23 +406,30 @@ def _readings(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float) ->
     groups: dict[frozenset[int], dict] = {cls: {} for cls in verdicts}
     for occ, amp in _joint(pair1, pair2).items():  # the probe reads b1 + b2
         groups[class_of[occ[1] + occ[3]]][occ] = amp
-    readings = [(c, verdicts[c], *_renormalized(kets)) for c, kets in groups.items()]
-    return register, station, [r for r in readings if r[2] > 0.0]
+    for cls, kets in groups.items():
+        (action, label), (prob, kets) = verdicts[cls], _renormalized(kets)
+        if not prob > 0.0:
+            continue
+        if action != KEEP:
+            yield cls, action, label, prob, None, register, kets
+            continue
+        post_register, clicks = _readout(register, station, kets)
+        for pattern, fired, weight, post in clicks:
+            click = _label(station, fired, pattern), weight
+            yield cls, action, label, prob, click, post_register, post
 
 
-def _reduced(
-    register: ModeRegister, station: BeamSplitter, kets: dict, names: tuple
-) -> SingleRailPair:
-    """The pair on modes ``names`` a recyclable class's kets reduce to, read
-    from D1's click; D2's, with its b-side sign flipped, must agree."""
+def _reduced(kets: dict, names: tuple) -> SingleRailPair:
+    """The pair on modes ``names`` a recyclable class's kets over (a1, b1,
+    a2, b2) reduce to at the concentration station, read from D1's click;
+    D2's, with its b-side sign flipped, must agree."""
+    register, station = _station("concentration", ("a1", "b1", "a2", "b2"))
     reduced: dict[str, SingleRailPair] = {}
     for pattern, fired, _, post in _readout(register, station, kets)[1]:
         label = _label(station, fired, pattern)
         if label == "D2":  # a2 feeds the difference port, which lands on D2
             post = {occ: (-a if occ[1] % 2 else a) for occ, a in post.items()}
-        # a ket that underflowed to zero reads 0j, as if the state dropped it
-        amps = (post.get(occ) or 0j for occ in ((1, 0), (0, 1)))
-        reduced[label] = SingleRailPair.from_coefficients(*amps, *names)
+        reduced[label] = _pair_of(post, names)
     if set(reduced) != {"D1", "D2"}:
         raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
     if not reduced["D1"].close_to(reduced["D2"]):
@@ -429,18 +441,15 @@ def _step(pair: SingleRailPair, qnd_theta: float) -> tuple:
     """One round on two copies of ``pair``, with no record: each branch as
     (label, probability, action) in ``concentration_round``'s order, labelled
     by detector if kept, else by probe class, and the recycled pair or None."""
-    register, station, readings = _readings(
-        pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
-    )
+    copies = pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2")
     branches, recycled = [], None
-    for _, (action, label), prob, kets in readings:
-        if action == KEEP:
-            for pattern, fired, weight, _ in _readout(register, station, kets)[1]:
-                branches.append((_label(station, fired, pattern), prob * weight, KEEP))
-            continue
+    for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta):
+        if click:
+            label, weight = click
+            prob *= weight
+        elif action == RECYCLE:
+            recycled = _reduced(kets, (pair.mode_a, pair.mode_b))
         branches.append((label, prob, action))
-        if action == RECYCLE:
-            recycled = _reduced(register, station, kets, (pair.mode_a, pair.mode_b))
     return branches, recycled
 
 
@@ -463,28 +472,17 @@ def concentration_round(
 
     Returns every branch; probabilities sum to one.
     """
-    qnd_theta = _real(qnd_theta, "probe angle")
-    register, station, readings = _readings(pair1, pair2, qnd_theta)
+    branches = _round(pair1, pair2, _real(qnd_theta, "probe angle"))
     results = []
-    for cls, (action, label), prob, kets in readings:
-        qnd_event = HeraldEvent("qnd", label, prob)
-        if action != KEEP:
-            herald = Herald(events=(qnd_event,), qnd_class=cls)
-            state = FockState._of(register, kets)
-            results.append(ProtocolResult(_TAGS[action], herald, prob, state))
-            continue
-        post_register, clicks = _readout(register, station, kets)
-        for pattern, fired, weight, post in clicks:
-            det = _label(station, fired, pattern)
-            herald = Herald(
-                events=(qnd_event, HeraldEvent("detector", det, weight)),
-                qnd_class=cls,
-                detector=det,
-                sign_correction=det == "D2",
-                correction_mode=pair1.mode_b,
-            )
-            state = FockState._of(post_register, post)
-            results.append(ProtocolResult(Tag.SUCCESS, herald, prob * weight, state))
+    for cls, action, label, prob, click, register, kets in branches:
+        events, det = (HeraldEvent("qnd", label, prob),), None
+        if click:
+            det, weight = click
+            events += (HeraldEvent("detector", det, weight),)
+            prob *= weight
+        herald = Herald(events, cls, det, det == "D2", det and pair1.mode_b)
+        state = FockState._of(register, kets)
+        results.append(ProtocolResult(_TAGS[action], herald, prob, state))
     return results
 
 
@@ -506,8 +504,7 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     state = result.state
     if state is None or len(state.register) != 4:
         raise ContractError("recyclable branch must carry a four-mode state")
-    _, station = _station("concentration", state.register.names)
-    return _reduced(state.register, station, state.terms, state.register.names[:2])
+    return _reduced(state.terms, state.register.names[:2])
 
 
 # -- iteration and sampling --------------------------------------------------------

@@ -354,8 +354,8 @@ class TestCompareYieldIsTheOracle:
         assert len(fresh) == 0
 
     def test_zeroing_reads_the_exact_yield(self, monkeypatch):
-        # a stand-in series of ones shows which rounds get zeroed
-        monkeypatch.setattr(analytics, "yield_series", lambda a, b, n: [1.0] * n)
+        # a stand-in closed form of ones shows which rounds get zeroed
+        monkeypatch.setattr(analytics, "_term", lambda x, y, n: 1.0)
         a, b = coeffs(0.01)
         report = compare_yield(a, b, 9)
         # round 9's exact yield is nonzero but its float underflows

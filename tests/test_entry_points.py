@@ -12,9 +12,10 @@ public entry point takes the value:
   finite floats are refused, and ``p_a``/``p_b`` must lie in (0, 1);
 * ``_amplitude`` reads every caller's amplitude (the terms of
   ``FockState``, the coefficients of ``superpose`` and
-  ``from_coefficients``, the ``alpha``/``beta`` of the yield functions):
-  bools, strings, containers and values past the float range are
-  refused; NaN and inf are left to the rule that owns them.
+  ``from_coefficients``, the ``alpha``/``beta`` of the yield functions
+  and of ``SingleRailPair``): bools, strings, containers and values past
+  the float range are refused; NaN and inf are left to the rule that
+  owns them.
 
 Every public count has a cap, one ``MAX_*`` constant of ``fock``'s
 limits table, defined nowhere else: one past it is refused at once, by
@@ -44,6 +45,7 @@ import singlerail
 from singlerail import (
     CapacityError,
     ConfigError,
+    ContractError,
     FockState,
     ModeRegister,
     QndConfig,
@@ -181,9 +183,14 @@ RESULT_RECORDS = {"MonteCarloStats"}
 #: parameter names that carry a real number, and those that carry an amplitude
 REAL_PARAMETERS = {"theta", "qnd_theta", "theta_ab", "p_a", "p_b"}
 AMPLITUDE_PARAMETERS = {"alpha", "beta", "coeff_a", "coeff_b"}
-#: records whose fields echo the reals their producer read, and the
-#: canonical pair, whose direct construction keeps its own NaN checks
-READ_RECORDS = {"IterationLedger", "MonteCarloStats", "SingleRailPair"}
+#: records whose fields echo the reals their producer read
+READ_RECORDS = {"IterationLedger", "MonteCarloStats"}
+#: the canonical pair built directly, with ``x`` beside 0.8 (x = 0.6 is
+#: normalized); the rows take reals, since a complex alpha is not canonical
+PAIR_ENTRY_POINTS = {
+    "SingleRailPair.alpha": lambda x: SingleRailPair(x, 0.8),
+    "SingleRailPair.beta": lambda x: SingleRailPair(0.8, x),
+}
 
 #: values neither the real nor the amplitude reader accepts
 NOT_NUMBERS = [
@@ -450,6 +457,49 @@ class TestRealsAndAmplitudes:
         assert repr(call(np.float64(0.6))) == repr(call(0.6))
         assert repr(call(np.complex128(0.6 - 0.1j))) == repr(call(0.6 - 0.1j))
 
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    def test_pair_coefficients_refuse_what_is_not_a_number(self, entry, value):
+        with pytest.raises(ConfigError):
+            PAIR_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+    def test_numpy_pair_coefficients_give_the_same_repr(self, entry):
+        call = PAIR_ENTRY_POINTS[entry]
+        assert repr(call(np.float64(0.6))) == repr(call(0.6))
+
+    def test_pair_coefficients_are_stored_as_float_and_complex(self):
+        beta = 0.36 + 0.48j  # |beta| = 0.6
+        for pair in (
+            SingleRailPair(0.8, beta),
+            SingleRailPair(np.float64(0.8), np.complex128(beta)),
+            SingleRailPair(0.8 + 0j, beta),
+            SingleRailPair(1, 0),
+            SingleRailPair(0.6, 0.8),
+        ):
+            assert (type(pair.alpha), type(pair.beta)) == (float, complex)
+        assert repr(SingleRailPair(0.8, np.complex128(beta))) == repr(
+            SingleRailPair(0.8, beta)
+        )
+
+    def test_pair_coefficients_keep_their_rules(self):
+        with pytest.raises(ContractError, match="alpha must be real in canonical form"):
+            SingleRailPair(0.8j, 0.6)
+        with pytest.raises(ContractError, match="alpha must be non-negative"):
+            SingleRailPair(np.float64(-0.8), 0.6)
+        with pytest.raises(ContractError, match="not normalized"):
+            SingleRailPair(np.float64(math.nan), 0.6)
+        with pytest.raises(ConfigError, match="past ~1.34e154"):
+            SingleRailPair(np.float64(1e200), 0)
+        for call, message in (
+            (lambda: SingleRailPair(True, 0), "alpha must be a complex float, got True"),
+            (lambda: SingleRailPair("x", 0), "alpha must be a complex float, got 'x'"),
+            (lambda: SingleRailPair(1.0, "y"), "beta must be a complex float, got 'y'"),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
     def test_reader_messages(self):
         for call, message in (
             (
@@ -505,6 +555,8 @@ def test_every_public_real_and_amplitude_is_in_a_table():
     assert _public_parameters(REAL_PARAMETERS) == set(REAL_ENTRY_POINTS)
     # "FockState.terms" and "superpose.addends" hold their amplitudes inside
     named = {
-        k for k in AMPLITUDE_ENTRY_POINTS if k.split(".")[-1] in AMPLITUDE_PARAMETERS
+        k
+        for k in [*AMPLITUDE_ENTRY_POINTS, *PAIR_ENTRY_POINTS]
+        if k.split(".")[-1] in AMPLITUDE_PARAMETERS
     }
     assert _public_parameters(AMPLITUDE_PARAMETERS) == named

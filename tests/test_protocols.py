@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -32,6 +34,7 @@ from singlerail import (
     swap,
     swap_chain_trace,
 )
+from singlerail import protocols
 from singlerail.protocols import IterationLedger, RoundEntry, _station, _step
 from conftest import make_pair
 
@@ -259,6 +262,21 @@ class TestSwapChainIsTheD1BranchOfSwap:
         chain = swap_chain_trace(pair, 1500)
         assert abs(chain[-1].beta) ** 2 == 0.0 < abs(chain[-1].beta)
         assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, 1500)))
+
+    @pytest.mark.parametrize("dropped", ["D1", "every outcome"])
+    def test_a_step_without_d1_is_a_contract_error(self, monkeypatch, dropped):
+        # the chain reads the first weighed outcome; it must be D1's click,
+        # never a D2 pair, and a readout with no outcome is no StopIteration
+        d1 = _station("swap", ("a", "b", "c", "d"))[1].out_modes[0]
+        weighed = protocols._weighed
+
+        def without_d1(readout, kets):
+            kept = (o for o in weighed(readout, kets) if o[1] != d1)
+            return kept if dropped == "D1" else iter(())
+
+        monkeypatch.setattr(protocols, "_weighed", without_d1)
+        with pytest.raises(ContractError):
+            swap_chain_trace(make_pair(0.3, theta=0.3), 3)
 
     def test_renaming_to_the_same_modes_is_free(self):
         pair = make_pair(0.3, theta=0.3)
@@ -676,6 +694,35 @@ class TestRecordFreeStep:
         assert [label for label, _, action in branches if action == "keep"] == (
             ["D1", "D2"] if kept else []
         )
+
+
+def _references(path, names):
+    """Per name in ``names``, the defs of ``path`` that name it, as a bare
+    name or an attribute, by qualified name."""
+    found = {name: set() for name in names}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        ident = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and ident in found:
+            found[ident].add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(pathlib.Path(path).read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_a_round_is_enumerated_once_and_kets_become_a_pair_once():
+    # one branch generator reads the probe and checks the copies, and one
+    # reader turns kets into a pair: a second path would fork the arithmetic
+    names = ("from_coefficients", "_probe", "_check_copies")
+    assert _references(protocols.__file__, names) == {
+        "from_coefficients": {"_pair_of"},
+        "_probe": {"_round"},
+        "_check_copies": {"_round"},
+    }
 
 
 PLAIN = ("a", "b", "c", "d")
