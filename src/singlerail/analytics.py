@@ -156,6 +156,8 @@ def yield_oracle(
     pairs, and each later attempt eats two recycled survivors.  A probe
     without a one-photon class keeps nothing, and one without the merged
     {0, 2} class recycles nothing, so later rounds see no attempts.
+    Its cost grows about 4× per round (8 s at 13 rounds), so about 8 min
+    extrapolated at its cap of 16; the CLI never calls it.
     """
     n_rounds, x, _ = _oracle_weight(alpha, beta, n_rounds)
     actions = _probe_actions(qnd_theta)

@@ -106,6 +106,16 @@ def _amplitude(value: object, what: str) -> complex:
     raise ConfigError(f"{what} must be a complex float, got {_shown(value)}")
 
 
+def _names(value: object, what: str) -> tuple:
+    """A tuple of mode names read from an iterable; a bare ``str``, which
+    would read as one name per character, is refused."""
+    if isinstance(value, str) or not hasattr(type(value), "__iter__"):
+        raise ConfigError(
+            f"{what} must be a sequence of mode names, got {_shown(value)}"
+        )
+    return tuple(value)
+
+
 def _shown(value: object) -> str:
     """``repr(value)``; an integer ``str`` refuses shows its sign and rough
     length instead, also inside a tuple, and another such value its type."""
@@ -158,7 +168,7 @@ class ModeRegister:
     __slots__ = ("names", "cutoff", "_index", "_hash")
 
     def __init__(self, names: Iterable[ModeId], cutoff: int = DEFAULT_CUTOFF):
-        names = tuple(names)
+        names = _names(names, "register modes")
         if not names:
             raise ConfigError("a mode register needs at least one mode")
         if len(set(names)) != len(names):
@@ -178,7 +188,7 @@ class ModeRegister:
             ) from None
 
     def indices(self, names: Iterable[ModeId]) -> tuple[int, ...]:
-        return tuple(self.index(n) for n in names)
+        return tuple(self.index(n) for n in _names(names, "indexed modes"))
 
     def same_modes(self, other: "ModeRegister") -> bool:
         """True when both registers hold the same mode names (any order)."""
@@ -385,7 +395,8 @@ class FockState:
         Used after a projective measurement left those modes in a product
         state; amplitudes carry over unchanged.
         """
-        register, level, kept = _readout_plan(self.register, tuple(modes))
+        drop = _names(modes, "dropped modes")
+        register, level, kept = _readout_plan(self.register, drop)
         levels = set(map(level, self.terms))
         if len(levels) > 1:
             raise RegisterError(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fock import MAX_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
-from .fock import Occupation, _count, _kept, _readout_plan, _real, _renormalized, _slots
+from .fock import Occupation, _count, _kept, _names, _readout_plan, _real, _renormalized
+from .fock import _slots
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -40,8 +41,8 @@ class BeamSplitter:
 
     def __post_init__(self):
         # stored as tuples: the splitter keys a cached plan, so it must hash
-        object.__setattr__(self, "in_modes", tuple(self.in_modes))
-        object.__setattr__(self, "out_modes", tuple(self.out_modes))
+        object.__setattr__(self, "in_modes", _names(self.in_modes, "input modes"))
+        object.__setattr__(self, "out_modes", _names(self.out_modes, "output modes"))
         if len(self.in_modes) != 2 or self.in_modes[0] == self.in_modes[1]:
             raise ConfigError(f"need two distinct input modes, got {self.in_modes!r}")
         if len(self.out_modes) != 2 or self.out_modes[0] == self.out_modes[1]:
@@ -153,6 +154,7 @@ class QndConfig:
     theta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "monitored", _names(self.monitored, "monitored modes"))
         if not self.monitored:
             raise ConfigError("QND needs at least one monitored mode")
         if len(set(self.monitored)) != len(self.monitored):
@@ -239,7 +241,7 @@ def detect_single_photon(
     with two or more photons are reported as distinct flagged outcomes,
     never merged with a single click.
     """
-    det = tuple(detector_modes)
+    det = _names(detector_modes, "detector modes")
     post_reg, readout = _readout_groups(state.register, det, state.terms)
     return [
         DetectionOutcome(fired, p, prob, FockState._of(post_reg, post), sum(p) >= 2)

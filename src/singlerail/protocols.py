@@ -13,10 +13,10 @@ into the next round instead of being discarded.
 Every protocol step returns all herald branches with exact probabilities.
 Control flow never inspects amplitudes: decisions are pure functions of
 herald records (see ``herald_action``).  One generator, ``_round``, walks
-the branches of a concentration round: the walk and the sampler read it
-through the record-free ``_step``, and ``concentration_round`` wraps its
-branches in records.  Kets become a pair in one reader, ``_pair_of``; the
-swap chain reads D1 through the stations' weigher, ``optics._weighed``.
+a concentration round's branches: ``iterate_concentration`` keeps them in
+its ledger, ``run_monte_carlo`` samples the ledger's first round, and
+``concentration_round`` wraps them in records.  Kets become a pair in one
+reader, ``_pair_of``; the swap chain reads D1 through ``optics._weighed``.
 """
 
 from __future__ import annotations
@@ -437,22 +437,6 @@ def _reduced(kets: dict, names: tuple) -> SingleRailPair:
     return reduced["D1"]
 
 
-def _step(pair: SingleRailPair, qnd_theta: float) -> tuple:
-    """One round on two copies of ``pair``, with no record: each branch as
-    (label, probability, action) in ``concentration_round``'s order, labelled
-    by detector if kept, else by probe class, and the recycled pair or None."""
-    copies = pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2")
-    branches, recycled = [], None
-    for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta):
-        if click:
-            label, weight = click
-            prob *= weight
-        elif action == RECYCLE:
-            recycled = _reduced(kets, (pair.mode_a, pair.mode_b))
-        branches.append((label, prob, action))
-    return branches, recycled
-
-
 def concentration_round(
     pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float = math.pi
 ) -> list[ProtocolResult]:
@@ -517,7 +501,9 @@ class RoundEntry:
     ``attempts_per_source_pair`` counts round attempts per initially
     generated pair (round 1 starts at 1/2 since each attempt eats two
     pairs); ``yield_per_source_pair`` is attempts times success
-    probability.
+    probability.  ``branches`` holds each branch the walk took, as (label,
+    absolute probability, action) in ``concentration_round``'s order: the
+    detector if kept, else the probe class; a round with no input has none.
     """
 
     round_index: int
@@ -528,6 +514,7 @@ class RoundEntry:
     attempts_per_source_pair: float
     yield_per_source_pair: float
     cumulative_yield: float
+    branches: tuple[tuple[str, float, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -560,8 +547,16 @@ def iterate_concentration(
     attempts = 0.5
     cumulative = 0.0
     for n in range(1, rounds + 1):
-        # a round with no input pair is the same round at zero weight
-        branches, recycled = _step(current, qnd_theta) if current else ([], None)
+        branches, recycled = [], None
+        if current:  # a round with no input pair is the same round at zero weight
+            copies = current.with_modes("a1", "b1"), current.with_modes("a2", "b2")
+            for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta):
+                if click:
+                    label, weight = click
+                    prob *= weight
+                elif action == RECYCLE:
+                    recycled = _reduced(kets, (current.mode_a, current.mode_b))
+                branches.append((label, prob, action))
         p_success = math.fsum(p for _, p, action in branches if action == KEEP)
         p_recycle = math.fsum(p for _, p, action in branches if action == RECYCLE)
         gained = attempts * p_success
@@ -576,6 +571,7 @@ def iterate_concentration(
                 attempts,
                 gained,
                 cumulative,
+                tuple(branches),
             )
         )
         attempts = attempts * p_recycle / 2.0
@@ -626,14 +622,14 @@ def run_monte_carlo(
 ) -> MonteCarloStats:
     """Sample herald branches of one concentration round.
 
-    Branch probabilities come from the exact simulation; sampling is the
-    only stochastic element and is fully determined by ``seed``.
+    The branches are the first round of ``iterate_concentration``'s ledger;
+    sampling is the only stochastic element, fully determined by ``seed``.
     Frequencies are aggregated per tag with binomial standard errors.
     """
     trials = _count(trials, "trials", most=MAX_TRIALS)
     seed = _count(seed, "seed", 0)
-    qnd_theta = _real(qnd_theta, "probe angle")
-    branches = [(_TAGS[a].value, label, p) for label, p, a in _step(pair, qnd_theta)[0]]
+    ledger = iterate_concentration(pair, 1, qnd_theta)
+    branches = [(_TAGS[a].value, label, p) for label, p, a in ledger.entries[0].branches]
     import numpy as np  # deferred: only a run that draws pays the import
 
     probs = np.array([p for *_, p in branches], dtype=float)
@@ -655,7 +651,7 @@ def run_monte_carlo(
     return MonteCarloStats(
         trials=trials,
         seed=seed,
-        qnd_theta=qnd_theta,
+        qnd_theta=ledger.qnd_theta,
         branch_labels=tuple(f"{tag}:{label}" for tag, label, _ in branches),
         branch_counts=tuple(int(c) for c in counts),
         frequencies=frequencies,

@@ -564,10 +564,10 @@ def test_golden_output(tmp_path, capsys, command, config, golden):
 
 
 def test_concentrate_walks_each_point_round_once(tmp_path, capsys, monkeypatch):
-    # the walk takes one record-free step per point and round, and never
-    # the record path of concentration_round
+    # the walk enumerates each point's round once, and never takes the
+    # record path of concentration_round
     calls = []
-    for name in ("_step", "concentration_round"):
+    for name in ("_round", "concentration_round"):
         original = getattr(singlerail.protocols, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -582,7 +582,7 @@ def test_concentrate_walks_each_point_round_once(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, alpha_sq=[0.2, 0.5, 0.8], rounds=4, trials=1000)
     code, _, _ = run_cli(["concentrate", "--config", cfg], capsys)
     assert code == 0
-    assert calls == ["_step"] * (3 * 4)
+    assert calls == ["_round"] * (3 * 4)
 
 
 class TestOutputEncoding:

@@ -15,7 +15,12 @@ public entry point takes the value:
   ``from_coefficients``, the ``alpha``/``beta`` of the yield functions
   and of ``SingleRailPair``): bools, strings, containers and values past
   the float range are refused; NaN and inf are left to the rule that
-  owns them.
+  owns them;
+* ``_names`` reads every sequence of mode names (the modes of a
+  ``ModeRegister`` and of its ``indices``, a splitter's inputs and
+  outputs, the monitored modes, detector modes and dropped modes) into a
+  tuple: a bare string, which would read as one name per character, is
+  refused, and equal names in a list or a tuple give equal records.
 
 Every public count has a cap, one ``MAX_*`` constant of ``fock``'s
 limits table, defined nowhere else: one past it is refused at once, by
@@ -43,6 +48,7 @@ import pytest
 
 import singlerail
 from singlerail import (
+    BeamSplitter,
     CapacityError,
     ConfigError,
     ContractError,
@@ -54,6 +60,7 @@ from singlerail import (
     SourceParams,
     compare_yield,
     concentration_round,
+    detect_single_photon,
     iterate_concentration,
     monte_carlo_yield,
     qnd_measure,
@@ -162,6 +169,33 @@ AMPLITUDE_ENTRY_POINTS = {
     "yield_oracle.beta": lambda z: yield_oracle(0.6, z, 3),
     "compare_yield.alpha": lambda z: compare_yield(z, 0.8, 3),
     "compare_yield.beta": lambda z: compare_yield(0.6, z, 3),
+}
+
+THREE_MODES = ModeRegister(("a", "b", "c"))
+#: a state with modes a and b empty, so that both can be dropped or read
+C_ONLY = FockState(THREE_MODES, {(0, 0, 1): 0.6, (0, 0, 2): 0.8})
+
+#: each public sequence of mode names, as "callable.parameter", called
+#: with ``names``, which name modes a and b
+NAMES_ENTRY_POINTS = {
+    "ModeRegister.names": lambda names: ModeRegister(names),
+    "ModeRegister.indices.names": lambda names: THREE_MODES.indices(names),
+    "BeamSplitter.in_modes": lambda names: BeamSplitter(names, ("c", "d"), "a"),
+    "BeamSplitter.out_modes": lambda names: BeamSplitter(("c", "d"), names, "c"),
+    "QndConfig.monitored": lambda names: QndConfig(names, math.pi),
+    "detect_single_photon.detector_modes": (
+        lambda names: detect_single_photon(C_ONLY, names)
+    ),
+    "FockState.without_modes.modes": lambda names: C_ONLY.without_modes(names),
+}
+#: parameter names that carry a sequence of mode names
+NAMES_PARAMETERS = {"names", "monitored", "in_modes", "out_modes", "detector_modes", "modes"}
+#: hashable records built from a sequence of mode names
+NAMED_RECORDS = {
+    "ModeRegister.names",
+    "BeamSplitter.in_modes",
+    "BeamSplitter.out_modes",
+    "QndConfig.monitored",
 }
 
 #: past ``sys.get_int_max_str_digits()``: ``str`` of it raises ``ValueError``
@@ -560,3 +594,34 @@ def test_every_public_real_and_amplitude_is_in_a_table():
         if k.split(".")[-1] in AMPLITUDE_PARAMETERS
     }
     assert _public_parameters(AMPLITUDE_PARAMETERS) == named
+
+
+class TestModeNameSequences:
+    @pytest.mark.parametrize("entry", sorted(NAMES_ENTRY_POINTS))
+    def test_a_list_reads_as_the_equal_tuple(self, entry):
+        call = NAMES_ENTRY_POINTS[entry]
+        from_list, from_tuple = call(["a", "b"]), call(("a", "b"))
+        assert repr(from_list) == repr(from_tuple)
+        if entry in NAMED_RECORDS:
+            assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+    @pytest.mark.parametrize("entry", sorted(NAMES_ENTRY_POINTS))
+    def test_a_bare_string_is_refused(self, entry):
+        # "ab" would otherwise read as the two modes a and b
+        with pytest.raises(ConfigError, match="must be a sequence of mode names, got 'ab'"):
+            NAMES_ENTRY_POINTS[entry]("ab")
+
+    def test_the_field_is_named(self):
+        for call, message in (
+            (lambda: QndConfig("ab", 1.0), "monitored modes must be a sequence"),
+            (lambda: ModeRegister("ab"), "register modes must be a sequence"),
+            (lambda: BeamSplitter(("a", "b"), "cd", "a"), "output modes must be a sequence"),
+            (lambda: ModeRegister(5), "register modes must be a sequence of mode names, got 5"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                call()
+
+
+def test_every_public_mode_name_sequence_is_in_the_table():
+    # ``Tag.names`` is the enum's functional API, not a mode-name sequence
+    assert _public_parameters(NAMES_PARAMETERS) - {"Tag.names"} == set(NAMES_ENTRY_POINTS)

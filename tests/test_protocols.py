@@ -35,7 +35,7 @@ from singlerail import (
     swap_chain_trace,
 )
 from singlerail import protocols
-from singlerail.protocols import IterationLedger, RoundEntry, _station, _step
+from singlerail.protocols import IterationLedger, RoundEntry, _class_label, _station
 from conftest import make_pair
 
 
@@ -627,14 +627,19 @@ WALK_ALPHA_SQ = sorted(
 
 def _record_walk(pair, rounds, qnd_theta):
     """``iterate_concentration`` as a loop over the records of
-    ``concentration_round`` and ``recyclable_to_pair``."""
+    ``concentration_round`` and ``recyclable_to_pair``; a record's label is
+    its last event's: the detector if kept, else the probe class."""
     entries, current, attempts, cumulative = [], pair, 0.5, 0.0
     for n in range(1, rounds + 1):
         p_success = p_recycle = 0.0
-        recycled = None
+        recycled, walked = None, ()
         if current is not None:
             branches = concentration_round(
                 current.with_modes("a1", "b1"), current.with_modes("a2", "b2"), qnd_theta
+            )
+            walked = tuple(
+                (r.herald.events[-1].outcome, r.probability, herald_action(r.herald.qnd_class))
+                for r in branches
             )
             p_success = math.fsum(r.probability for r in branches if r.tag is Tag.SUCCESS)
             recyclables = [r for r in branches if r.tag is Tag.RECYCLABLE]
@@ -644,18 +649,17 @@ def _record_walk(pair, rounds, qnd_theta):
                 recycled = recycled.with_modes(pair.mode_a, pair.mode_b)
         gained = attempts * p_success
         cumulative += gained
-        entries.append(
-            RoundEntry(n, current, p_success, p_recycle, recycled, attempts, gained, cumulative)
-        )
+        fields = p_success, p_recycle, recycled, attempts, gained, cumulative
+        entries.append(RoundEntry(n, current, *fields, walked))
         attempts = attempts * p_recycle / 2.0
         current = recycled
     return IterationLedger(qnd_theta, tuple(entries))
 
 
 class TestRecordFreeStep:
-    """The walk reads ``_step``, which builds no record; the records of
-    ``concentration_round`` and ``recyclable_to_pair`` wrap the same
-    arithmetic, so both must agree bit for bit."""
+    """The walk keeps its branches in the ledger and builds no record; the
+    records of ``concentration_round`` and ``recyclable_to_pair`` wrap the
+    same arithmetic, so both must agree bit for bit."""
 
     @pytest.mark.parametrize("theta_ab", [0.0, 0.4, 2.0])
     @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
@@ -673,7 +677,8 @@ class TestRecordFreeStep:
         records = concentration_round(
             pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2"), qnd_theta
         )
-        branches, recycled = _step(pair, qnd_theta)
+        entry = iterate_concentration(pair, 1, qnd_theta).entries[0]
+        branches, recycled = entry.branches, entry.recycled_pair
         # a record's label is its last event's: the detector if kept, else the class
         assert [(label, repr(p), action) for label, p, action in branches] == [
             (r.herald.events[-1].outcome, repr(r.probability), herald_action(r.herald.qnd_class))
@@ -686,7 +691,8 @@ class TestRecordFreeStep:
     @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
     def test_every_probe_class_is_a_branch(self, qnd_theta):
         # 0 < alpha_sq < 1 puts weight on every count 0, 1 and 2
-        branches, _ = _step(make_pair(0.3, theta=0.4), qnd_theta)
+        entry = iterate_concentration(make_pair(0.3, theta=0.4), 1, qnd_theta).entries[0]
+        branches = entry.branches
         labels = {label for label, _, action in branches if action != "keep"}
         classes = QndConfig(("b1", "b2"), qnd_theta).outcome_classes(2)
         kept = [cls for cls in classes if herald_action(cls) == "keep"]
@@ -694,6 +700,43 @@ class TestRecordFreeStep:
         assert [label for label, _, action in branches if action == "keep"] == (
             ["D1", "D2"] if kept else []
         )
+
+    @pytest.mark.parametrize("theta_ab", [0.0, 0.4, 2.5])
+    @pytest.mark.parametrize("qnd_theta", PROBE_ANGLES)
+    def test_the_ledger_is_a_complete_record(self, qnd_theta, theta_ab):
+        # every live round's branches sum to one and the round's success and
+        # recycle probabilities are their fsums, bit for bit; a kept branch
+        # is labelled by its detector, any other by its probe class
+        classes = QndConfig(("b1", "b2"), qnd_theta).outcome_classes(2)
+        labels = {"keep": {"D1", "D2"}}
+        for cls in classes:
+            if herald_action(cls) != "keep":
+                labels.setdefault(herald_action(cls), set()).add(_class_label(cls))
+        for alpha_sq in WALK_ALPHA_SQ:
+            pair = make_pair(alpha_sq, theta=theta_ab)
+            for entry in iterate_concentration(pair, 16, qnd_theta).entries:
+                if entry.input_pair is None:
+                    assert entry.branches == ()
+                    continue
+                assert abs(math.fsum(p for _, p, _ in entry.branches) - 1.0) <= 1e-12
+                for action, want in (
+                    ("keep", entry.success_probability),
+                    ("recycle", entry.recycle_probability),
+                ):
+                    got = math.fsum(p for _, p, a in entry.branches if a == action)
+                    assert repr(got) == repr(want)
+                assert all(label in labels.get(a, ()) for label, _, a in entry.branches)
+
+
+#: per private step of a round in ``protocols``, the only defs that name it
+WALK_REFERENCES = {
+    "from_coefficients": {"_pair_of"},
+    "_probe": {"_round"},
+    "_check_copies": {"_round"},
+    "_round": {"iterate_concentration", "concentration_round"},
+    "_reduced": {"iterate_concentration", "recyclable_to_pair"},
+    "iterate_concentration": {"run_monte_carlo"},
+}
 
 
 def _references(path, names):
@@ -716,13 +759,11 @@ def _references(path, names):
 
 def test_a_round_is_enumerated_once_and_kets_become_a_pair_once():
     # one branch generator reads the probe and checks the copies, and one
-    # reader turns kets into a pair: a second path would fork the arithmetic
-    names = ("from_coefficients", "_probe", "_check_copies")
-    assert _references(protocols.__file__, names) == {
-        "from_coefficients": {"_pair_of"},
-        "_probe": {"_round"},
-        "_check_copies": {"_round"},
-    }
+    # reader turns kets into a pair: a second path would fork the arithmetic;
+    # the walk is the one consumer of the generator that keeps no record,
+    # and the sampler reaches it only through the walk's ledger
+    found = _references(protocols.__file__, WALK_REFERENCES)
+    assert found == WALK_REFERENCES
 
 
 PLAIN = ("a", "b", "c", "d")
