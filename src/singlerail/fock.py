@@ -29,7 +29,7 @@ import cmath
 import math
 import numbers
 import operator
-from typing import Callable, Hashable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 
 from .errors import CapacityError, ConfigError, DegenerateStateError, RegisterError
 
@@ -107,13 +107,26 @@ def _amplitude(value: object, what: str) -> complex:
 
 
 def _names(value: object, what: str) -> tuple:
-    """A tuple of mode names read from an iterable; a bare ``str``, which
-    would read as one name per character, is refused."""
+    """A tuple of mode names, each a ``str``, read from an iterable; a bare
+    ``str``, which would read as one name per character, is refused."""
     if isinstance(value, str) or not hasattr(type(value), "__iter__"):
         raise ConfigError(
             f"{what} must be a sequence of mode names, got {_shown(value)}"
         )
-    return tuple(value)
+    names = tuple(value)
+    for name in names:
+        if not isinstance(name, str):
+            raise ConfigError(f"{what} must be str mode names, got {_shown(name)}")
+    return names
+
+
+def _occupation(value: object) -> Occupation:
+    """An occupation read from an iterable of counts, each through ``_count``."""
+    if not hasattr(type(value), "__iter__"):
+        raise ConfigError(
+            f"occupation must be a sequence of counts, got {_shown(value)}"
+        )
+    return tuple(_count(n, "occupation", 0) for n in value)
 
 
 def _shown(value: object) -> str:
@@ -145,6 +158,19 @@ def _renormalized(kets: dict[Occupation, complex]) -> tuple[float, dict]:
         scale = 1.0 / math.sqrt(prob)
         kets = {occ: a * scale for occ, a in kets.items()}
     return prob, kets
+
+
+def _partition(kets: Mapping[Occupation, complex], key: Grouping) -> dict:
+    """``FockState.partition`` on kets: per key, (weight, kets renormalized)."""
+    groups: dict[Hashable, dict[Occupation, complex]] = {}
+    for occ, amp in kets.items():
+        groups.setdefault(key(occ), {})[occ] = amp
+    return {k: w for k, m in groups.items() if (w := _renormalized(m))[0] > 0.0}
+
+
+def _product(left: Mapping, right: Mapping) -> dict[Occupation, complex]:
+    """Each ket of ``left`` joined with each of ``right``, amplitudes multiplied."""
+    return {o1 + o2: a1 * a2 for o1, a1 in left.items() for o2, a2 in right.items()}
 
 
 def _kept(terms: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
@@ -232,7 +258,7 @@ class FockState:
         width = len(register)
         checked: dict[Occupation, complex] = {}
         for occ, amp in terms.items():
-            occ = tuple(_count(n, "occupation", 0) for n in occ)
+            occ = _occupation(occ)
             if len(occ) != width:
                 raise RegisterError(
                     f"occupation {_shown(occ)} does not fit register {register!r}"
@@ -310,31 +336,18 @@ class FockState:
         """
         cutoff = max(self.register.cutoff, other.register.cutoff)
         reg = ModeRegister(self.register.names + other.register.names, cutoff)
-        out = {
-            occ_l + occ_r: amp_l * amp_r
-            for occ_l, amp_l in self.terms.items()
-            for occ_r, amp_r in other.terms.items()
-        }
-        return FockState(reg, out)
+        return FockState(reg, _product(self.terms, other.terms))
 
     # -- measurement-style operations ---------------------------------------
 
     def partition(self, key: Grouping) -> dict[Hashable, tuple[float, "FockState"]]:
-        """Group kets by ``key(occupation)`` in one pass: one readout.
-
-        Returns ``{key: (probability, renormalized state)}`` in order of
-        first appearance; zero-probability groups are left out, since
+        """Group kets by ``key(occupation)`` in one pass, one readout (the
+        rule is ``_partition``): ``{key: (probability, renormalized state)}``
+        in order of first appearance, zero-probability groups left out since
         impossible outcomes are data, not errors.  Post-states keep every mode.
         """
-        groups: dict[Hashable, dict[Occupation, complex]] = {}
-        for occ, amp in self.terms.items():
-            groups.setdefault(key(occ), {})[occ] = amp
-        out: dict[Hashable, tuple[float, FockState]] = {}
-        for k, kets in groups.items():
-            prob, post = _renormalized(kets)
-            if prob > 0.0:
-                out[k] = prob, FockState._of(self.register, post)
-        return out
+        seen = _partition(self.terms, key)
+        return {k: (p, FockState._of(self.register, t)) for k, (p, t) in seen.items()}
 
     def project(
         self, predicate: Callable[[Occupation], bool]
@@ -379,11 +392,15 @@ class FockState:
     # -- register surgery -----------------------------------------------------
 
     def relabel(self, mapping: Mapping[ModeId, ModeId]) -> "FockState":
-        """Rename modes in place; ``mapping`` must stay a bijection.
+        """Rename modes in place; ``mapping``, a ``Mapping``, must stay a bijection.
 
         Keys not present in the register are rejected; names missing from
         the mapping keep their old label.  Amplitudes are untouched.
         """
+        if not isinstance(mapping, Mapping):
+            raise ConfigError(
+                f"relabel mapping must be a Mapping, got {_shown(mapping)}"
+            )
         for old in mapping:
             self.register.index(old)  # raises RegisterError on unknown names
         names = (mapping.get(n, n) for n in self.register.names)
@@ -436,7 +453,7 @@ def vacuum(register: ModeRegister) -> FockState:
 
 def basis_state(register: ModeRegister, occupation: Occupation) -> FockState:
     """A single occupation-number ket with unit amplitude."""
-    return FockState(register, {tuple(occupation): 1.0 + 0j})
+    return FockState(register, {_occupation(occupation): 1.0 + 0j})
 
 
 def single_photon(register: ModeRegister, mode: ModeId) -> FockState:

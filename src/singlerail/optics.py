@@ -280,7 +280,9 @@ def _weighed(readout: tuple, kets: dict):
 def phase_flip(state: FockState, mode: ModeId) -> FockState:
     """Apply ``(-1)^n`` on ``mode``; exact involution (pure sign flips)."""
     i = state.register.index(mode)
-    flipped = {
-        occ: (-amp if occ[i] % 2 else amp) for occ, amp in state.terms.items()
-    }
-    return FockState._of(state.register, flipped)
+    return FockState._of(state.register, _flipped(state.terms, i))
+
+
+def _flipped(kets: dict, i: int) -> dict:
+    """``kets`` with ``(-1)^n`` applied on slot ``i``: pure sign flips."""
+    return {occ: (-amp if occ[i] % 2 else amp) for occ, amp in kets.items()}

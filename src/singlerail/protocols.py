@@ -15,8 +15,10 @@ Control flow never inspects amplitudes: decisions are pure functions of
 herald records (see ``herald_action``).  One generator, ``_round``, walks
 a concentration round's branches: ``iterate_concentration`` keeps them in
 its ledger, ``run_monte_carlo`` samples the ledger's first round, and
-``concentration_round`` wraps them in records.  Kets become a pair in one
-reader, ``_pair_of``; the swap chain reads D1 through ``optics._weighed``.
+``concentration_round`` wraps them in records.  The stations read kets by
+the instruments' own rules: ``fock._product`` joins two pairs (``tensor``),
+``fock._partition`` reads the probe (``qnd_measure``), ``optics._flipped``
+flips D2 (``phase_flip``) and ``_pair_of`` alone turns kets into a pair.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from .errors import (
 )
 from .fock import DEFAULT_CUTOFF, MAX_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _amplitude, _count, _real, _renormalized
-from .optics import BeamSplitter, _outcome_classes, _outputs, _weighed, phase_flip
+from .fock import _amplitude, _count, _kept, _partition, _product, _real
+from .optics import BeamSplitter, _flipped, _outcome_classes, _outputs, _weighed
+from .optics import phase_flip
 
 if TYPE_CHECKING:
     import numpy as np
@@ -157,9 +160,13 @@ class SingleRailPair:
         vars(new).update(alpha=self.alpha, beta=self.beta, mode_a=mode_a, mode_b=mode_b)
         return new
 
+    def _kets(self) -> dict[Occupation, complex]:
+        """The |10> and |01> kets, built here only: the stations read them too."""
+        return {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
+
     def to_state(self) -> FockState:
-        amps = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
-        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), amps)
+        """The pair's ``_kets`` on its two modes, exact zeros dropped."""
+        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), self._kets())
 
     def close_to(self, other: "SingleRailPair") -> bool:
         return (
@@ -289,13 +296,6 @@ def _station(step: str, modes: tuple[ModeId, ...]) -> tuple:
     return ModeRegister(modes), BeamSplitter(meet, meet, minus_input=modes[2])
 
 
-def _joint(p: SingleRailPair, q: SingleRailPair) -> dict[Occupation, complex]:
-    """The kets of ``p.to_state().tensor(q.to_state())``, exact zeros dropped."""
-    a, b, c, d = map(complex, (p.alpha, p.beta, q.alpha, q.beta))
-    kets = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
-    return {k: amp for k, amp in zip(kets, (a * c, a * d, b * c, b * d)) if amp}
-
-
 def _label(station: BeamSplitter, fired: ModeId | None, pattern: tuple) -> str:
     """The detector of an outcome that brings the station one photon."""
     if fired is None:
@@ -332,7 +332,8 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     register, station = _station(
         "swap", (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
-    post_register, outcomes = _readout(register, station, _joint(pair_ab, pair_cd))
+    joint = _kept(_product(pair_ab._kets(), pair_cd._kets()))
+    post_register, outcomes = _readout(register, station, joint)
     results = []
     for pattern, fired, prob, post in outcomes:
         success = fired is not None
@@ -361,9 +362,10 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
     """
     n_swaps = _count(n_swaps, "swap count", most=MAX_SWAP_DEPTH)
     register, station = _station("swap", ("a", "b", "c", "d"))
-    current, trace = pair, []
+    current, trace, link = pair, [], pair._kets()
     for _ in range(n_swaps):
-        (*_, readout), out = _outputs(register, station, _joint(current, pair))
+        joint = _kept(_product(current._kets(), link))
+        (*_, readout), out = _outputs(register, station, joint)
         # readout order puts D1 first, so no other outcome is weighed
         pattern, fired, _, post = next(_weighed(readout, out), ((), None, 0.0, None))
         if _label(station, fired, pattern) != "D1":
@@ -396,20 +398,17 @@ def _probe(qnd_theta: float) -> tuple:
 
 def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float):
     """Each branch of a round on two copies in record order: per class of
-    positive weight, as ``qnd_measure`` reads their joint kets, the class,
-    its verdict (action and label, a herald record) and weight; for a kept
-    click (detector, weight), else None; post-register and kets renormalized."""
+    positive weight of their joint kets, read by ``qnd_measure``'s rule, the
+    class, its verdict (action and label, a herald record) and weight; for a
+    kept click (detector, weight), else None; post-register, kets renormalized."""
     _check_copies(pair1, pair2)
     modes = pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b
     register, station = _station("concentration", modes)
     class_of, verdicts = _probe(qnd_theta)
-    groups: dict[frozenset[int], dict] = {cls: {} for cls in verdicts}
-    for occ, amp in _joint(pair1, pair2).items():  # the probe reads b1 + b2
-        groups[class_of[occ[1] + occ[3]]][occ] = amp
-    for cls, kets in groups.items():
-        (action, label), (prob, kets) = verdicts[cls], _renormalized(kets)
-        if not prob > 0.0:
-            continue
+    joint = _kept(_product(pair1._kets(), pair2._kets()))
+    seen = _partition(joint, lambda occ: class_of[occ[1] + occ[3]])  # b1 + b2
+    for cls in filter(seen.__contains__, verdicts):  # in class order
+        (action, label), (prob, kets) = verdicts[cls], seen[cls]
         if action != KEEP:
             yield cls, action, label, prob, None, register, kets
             continue
@@ -421,15 +420,14 @@ def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float):
 
 def _reduced(kets: dict, names: tuple) -> SingleRailPair:
     """The pair on modes ``names`` a recyclable class's kets over (a1, b1,
-    a2, b2) reduce to at the concentration station, read from D1's click;
-    D2's, with its b-side sign flipped, must agree."""
+    a2, b2) reduce to at the concentration station, read from D1's click.
+    a2 feeds the difference port, which lands on D2, so D2's pair, flipped
+    on b1 by ``phase_flip``'s rule, must agree."""
     register, station = _station("concentration", ("a1", "b1", "a2", "b2"))
     reduced: dict[str, SingleRailPair] = {}
     for pattern, fired, _, post in _readout(register, station, kets)[1]:
         label = _label(station, fired, pattern)
-        if label == "D2":  # a2 feeds the difference port, which lands on D2
-            post = {occ: (-a if occ[1] % 2 else a) for occ, a in post.items()}
-        reduced[label] = _pair_of(post, names)
+        reduced[label] = _pair_of(_flipped(post, 1) if label == "D2" else post, names)
     if set(reduced) != {"D1", "D2"}:
         raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
     if not reduced["D1"].close_to(reduced["D2"]):

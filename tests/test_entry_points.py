@@ -611,12 +611,24 @@ class TestModeNameSequences:
         with pytest.raises(ConfigError, match="must be a sequence of mode names, got 'ab'"):
             NAMES_ENTRY_POINTS[entry]("ab")
 
+    @pytest.mark.parametrize("entry", sorted(NAMES_ENTRY_POINTS))
+    def test_a_name_that_is_not_a_string_is_refused(self, entry):
+        # an int name once built a register whose repr raised TypeError
+        with pytest.raises(ConfigError, match="must be str mode names, got 1$"):
+            NAMES_ENTRY_POINTS[entry](("a", 1))
+
     def test_the_field_is_named(self):
         for call, message in (
             (lambda: QndConfig("ab", 1.0), "monitored modes must be a sequence"),
             (lambda: ModeRegister("ab"), "register modes must be a sequence"),
             (lambda: BeamSplitter(("a", "b"), "cd", "a"), "output modes must be a sequence"),
             (lambda: ModeRegister(5), "register modes must be a sequence of mode names, got 5"),
+            (lambda: ModeRegister((1, 2)), "register modes must be str mode names, got 1"),
+            (lambda: QndConfig((1,), 1.0), "monitored modes must be str mode names, got 1"),
+            (
+                lambda: BeamSplitter(("a", "b"), (3, 4), "a"),
+                "output modes must be str mode names, got 3",
+            ),
         ):
             with pytest.raises(ConfigError, match=message):
                 call()

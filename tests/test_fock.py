@@ -115,6 +115,18 @@ class TestFockStateConstruction:
         with pytest.raises(ConfigError):
             FockState(reg, {(1, 0): 1.0, (Level(1), 0): 2.0})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda reg: FockState(reg, {5: 1.0}),
+            lambda reg: FockState(reg, {None: 1.0}),
+            lambda reg: basis_state(reg, 5),
+        ],
+    )
+    def test_occupation_that_is_not_iterable_rejected(self, build):
+        with pytest.raises(ConfigError, match="occupation must be a sequence of counts"):
+            build(ModeRegister(("a", "b")))
+
     def test_numpy_integer_occupations_are_read_as_int(self):
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(np.int64(1), np.int32(0)): 1.0})
@@ -201,6 +213,16 @@ class TestNormalizeAndCompose:
         a = single_photon(ModeRegister(("a",)), "a")
         with pytest.raises(RegisterError):
             a.tensor(a)
+
+    def test_tensor_checks_kets_before_dropping_underflowed_ones(self):
+        # 1e-200 * 1e-200 underflows to an exact zero: past the cutoff it is
+        # still refused, within it it is dropped
+        two = FockState(ModeRegister(("a",)), {(2,): 1e-200})
+        with pytest.raises(CapacityError):
+            two.tensor(FockState(ModeRegister(("b",)), {(1,): 1e-200}))
+        one = FockState(ModeRegister(("a",)), {(1,): 1e-200})
+        prod = one.tensor(FockState(ModeRegister(("b",)), {(0,): 1.0, (1,): 1e-200}))
+        assert prod.terms == {(1, 0): 1e-200}
 
     def test_tensor_enforces_joint_cutoff(self):
         a = basis_state(ModeRegister(("a",)), (2,))
@@ -294,6 +316,17 @@ class TestRegisterSurgery:
         s = vacuum(ModeRegister(("a",)))
         with pytest.raises(RegisterError):
             s.relabel({"q": "x"})
+
+    @pytest.mark.parametrize("mapping", ["ab", ["a"], ("a", "x"), None])
+    def test_relabel_refuses_what_is_not_a_mapping(self, mapping):
+        s = vacuum(ModeRegister(("a", "b")))
+        with pytest.raises(ConfigError, match="relabel mapping must be a Mapping"):
+            s.relabel(mapping)
+
+    def test_relabel_to_a_name_that_is_not_a_string_is_refused(self):
+        s = vacuum(ModeRegister(("a", "b")))
+        with pytest.raises(ConfigError, match="register modes must be str mode names, got 5"):
+            s.relabel({"a": 5})
 
     def test_without_modes_drops_definite_mode(self):
         reg = ModeRegister(("a", "b"))

@@ -23,10 +23,13 @@ from singlerail import (
     SingleRailPair,
     SourceParams,
     Tag,
+    apply_beam_splitter,
     concentration_round,
+    detect_single_photon,
     generate_entanglement,
     herald_action,
     iterate_concentration,
+    qnd_measure,
     recyclable_to_pair,
     run_monte_carlo,
     single_photon,
@@ -728,6 +731,52 @@ class TestRecordFreeStep:
                 assert all(label in labels.get(a, ()) for label, _, a in entry.branches)
 
 
+def _terms(state):
+    return repr(list(state.terms.items()))
+
+
+class TestTheProbeReadIsQndMeasure:
+    """A round's probe read and kept clicks are the public instruments'
+    readouts of the two copies' product state, bit for bit and in order."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+            st.integers(-1074, -1).map(lambda e: 2.0**e),
+        ),
+        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+        st.sampled_from([math.pi, 1.0, 0.0]),
+    )
+    def test_each_class_equals_qnd_measure(self, alpha_sq, theta_ab, qnd_theta):
+        pair = make_pair(alpha_sq, theta=theta_ab)
+        p1, p2 = pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2")
+        joint = p1.to_state().tensor(p2.to_state())
+        outcomes = qnd_measure(joint, QndConfig(("b1", "b2"), qnd_theta))
+        records: dict[frozenset, list] = {}
+        for r in concentration_round(p1, p2, qnd_theta):
+            records.setdefault(r.herald.qnd_class, []).append(r)
+        assert list(records) == [o.outcome_class for o in outcomes]
+        station = _station("concentration", ("a1", "b1", "a2", "b2"))[1]
+        for o in outcomes:
+            got = records[o.outcome_class]
+            assert {repr(r.herald.events[0].probability) for r in got} == {repr(o.probability)}
+            if herald_action(o.outcome_class) != "keep":
+                assert [_terms(r.state) for r in got] == [_terms(o.post_state)]
+                continue
+            clicks = detect_single_photon(
+                apply_beam_splitter(o.post_state, station), station.out_modes
+            )
+            assert [
+                (r.herald.detector, repr(r.herald.events[1].probability), _terms(r.state))
+                for r in got
+            ] == [
+                ("D1" if c.fired == station.out_modes[0] else "D2", repr(c.probability),
+                 _terms(c.post_state))
+                for c in clicks
+            ]
+
+
 #: per private step of a round in ``protocols``, the only defs that name it
 WALK_REFERENCES = {
     "from_coefficients": {"_pair_of"},
@@ -736,6 +785,10 @@ WALK_REFERENCES = {
     "_round": {"iterate_concentration", "concentration_round"},
     "_reduced": {"iterate_concentration", "recyclable_to_pair"},
     "iterate_concentration": {"run_monte_carlo"},
+    "_partition": {"_round"},
+    "_flipped": {"_reduced"},
+    # the stations renormalize only through the instruments' readouts
+    "_renormalized": set(),
 }
 
 
