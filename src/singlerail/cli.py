@@ -15,14 +15,17 @@ errors, 2 when an internal consistency check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from decimal import MAX_EMAX, MIN_EMIN, Context
+from typing import IO
 
 from .analytics import compare_yield, entanglement_ratio, monte_carlo_yield
 from .errors import ConfigError, SingleRailError
@@ -30,10 +33,11 @@ from .fock import MAX_ORACLE_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS, _count, _real
 from .protocols import (
     SingleRailPair,
     SourceParams,
+    _probe,
+    _swap_chain,
     count_draws,
     generate_entanglement,
     iterate_concentration,
-    swap_chain_trace,
 )
 
 #: numbers are serialized with this many significant digits in both formats
@@ -196,31 +200,32 @@ def _jvalue(value):
 
 
 # -- subcommand table builders ---------------------------------------------------
+# A builder is a generator: it reads its config, yields the header, then each row
+# as it is built, filling ``summary``; ``main`` draws the header before any byte.
 
 
-def cmd_generate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
-    p_a = cfg.p_a if cfg.p_a is not None else [0.01]
-    p_b = cfg.p_b if cfg.p_b is not None else [0.01]
-    if len(p_a) == 1 and len(p_b) > 1:
-        p_a = p_a * len(p_b)
-    if len(p_b) == 1 and len(p_a) > 1:
-        p_b = p_b * len(p_a)
+def cmd_generate(cfg: RunConfig, summary: dict) -> Iterator:
+    p_a, p_b = cfg.p_a or [0.01], cfg.p_b or [0.01]
+    n = max(len(p_a), len(p_b))  # a one-entry grid is broadcast over the other
+    p_a, p_b = (p * n if len(p) == 1 else p for p in (p_a, p_b))
     if len(p_a) != len(p_b):
         raise ConfigError(
             f"p_a and p_b grids must match in length, got {len(p_a)} vs {len(p_b)}"
         )
+    sources = [SourceParams(pa, pb, cfg.theta_ab) for pa, pb in zip(p_a, p_b)]
+    summary["rows"] = len(sources)
     header = ["p_a", "p_b", "herald_prob", "alpha_sq", "beta_sq", "phase"]
     if cfg.trials > 0:
         header += ["herald_freq", "herald_stderr"]
         import numpy as np  # deferred: only a run that draws pays the import
 
         rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for pa, pb in zip(p_a, p_b):
-        herald, pair = generate_entanglement(SourceParams(pa, pb, cfg.theta_ab))
+    yield header
+    for params in sources:
+        herald, pair = generate_entanglement(params)
         row = {
-            "p_a": pa,
-            "p_b": pb,
+            "p_a": params.p_a,
+            "p_b": params.p_b,
             "herald_prob": herald,
             "alpha_sq": pair.alpha_sq,
             "beta_sq": pair.beta_sq,
@@ -231,8 +236,7 @@ def cmd_generate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
             freq = hits / cfg.trials
             row["herald_freq"] = freq
             row["herald_stderr"] = math.sqrt(freq * (1.0 - freq) / cfg.trials)
-        rows.append(row)
-    return header, rows, {"rows": len(rows)}
+        yield row
 
 
 def _amplitude_ratio(pair: SingleRailPair) -> float:
@@ -264,50 +268,46 @@ def _closed_form_ratios(pair: SingleRailPair, depth: int) -> list[float]:
     return out
 
 
-def cmd_swap_chain(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
-    header = ["alpha_sq", "n", "alpha_sq_n", "entanglement_ratio", "closed_form_check"]
-    rows = []
-    failures = 0
+def cmd_swap_chain(cfg: RunConfig, summary: dict) -> Iterator:
+    summary["closed_form_failures"] = 0
+    yield ["alpha_sq", "n", "alpha_sq_n", "entanglement_ratio", "closed_form_check"]
     for x in cfg.alpha_sq:
         pair = _pair(x, cfg.theta_ab)
-        trace = swap_chain_trace(pair, cfg.swap_depth)
-        closed_forms = _closed_form_ratios(pair, cfg.swap_depth)
-        for n, (link, closed) in enumerate(zip(trace, closed_forms), start=1):
+        chain = _swap_chain(pair, cfg.swap_depth)
+        # the loop alone holds the reference, so it is freed before the next point's
+        for n, (link, closed) in enumerate(
+            zip(chain, _closed_form_ratios(pair, cfg.swap_depth)), start=1
+        ):
             simulated = _amplitude_ratio(link)
             ok = abs(simulated - closed) <= CLOSED_FORM_TOL * max(1.0, abs(closed))
-            failures += 0 if ok else 1
-            rows.append(
-                {
-                    "alpha_sq": x,
-                    "n": n,
-                    "alpha_sq_n": link.alpha_sq,
-                    "entanglement_ratio": entanglement_ratio(link),
-                    "closed_form_check": "pass" if ok else "fail",
-                }
-            )
-    return header, rows, {"closed_form_failures": failures}
+            summary["closed_form_failures"] += 0 if ok else 1
+            yield {
+                "alpha_sq": x,
+                "n": n,
+                "alpha_sq_n": link.alpha_sq,
+                "entanglement_ratio": entanglement_ratio(link),
+                "closed_form_check": "pass" if ok else "fail",
+            }
 
 
-def _yield_table(cfg: RunConfig, walk: bool) -> tuple[list[dict], dict]:
-    """Rows and summary of the per-round yield table at the configured probe.
+def _yield_table(cfg: RunConfig, summary: dict, header: list[str], walk: bool):
+    """The per-round yield table at the configured probe, ``header`` first.
 
     With ``walk`` every grid point also gets one state-vector walk of the
     herald tree (``success_prob``), and with ``trials`` the Monte Carlo
     columns are sampled from that same walk.  Each row carries every
     column; the header picks the ones a command prints.
     """
-    rows = []
-    summaries = []
+    _probe(cfg.qnd_theta)  # an angle whose phase overflows is a config error
+    summaries = summary["per_alpha"] = []
+    yield header
     for x in cfg.alpha_sq:
         pair = _pair(x, cfg.theta_ab)
         ledger = (
             iterate_concentration(pair, cfg.rounds, cfg.qnd_theta) if walk else None
         )
-        mc = (
-            monte_carlo_yield(ledger, cfg.trials, cfg.seed)
-            if ledger is not None and cfg.trials > 0
-            else []
-        )
+        draws = ledger is not None and cfg.trials > 0
+        mc = monte_carlo_yield(ledger, cfg.trials, cfg.seed) if draws else []
         report = compare_yield(pair.alpha, pair.beta, cfg.rounds, cfg.qnd_theta)
         cumulative = 0.0
         for i, term in enumerate(report.terms):
@@ -328,22 +328,18 @@ def _yield_table(cfg: RunConfig, walk: bool) -> tuple[list[dict], dict]:
             if mc:
                 row["y_mc"] = mc[i].estimate
                 row["y_mc_stderr"] = mc[i].stderr
-            rows.append(row)
-        rows.append(
-            {
-                "alpha_sq": x,
-                "round": "total",
-                "y_formula": report.cumulative_formula,
-                "y_oracle": report.cumulative_oracle,
-                "formula_check": (
-                    "pass"
-                    if not report.discrepancies
-                    else "documented-discrepancy"
-                ),
-                "y_cumulative_oracle": report.cumulative_oracle,
-                "y_mc": sum(m.estimate for m in mc) if mc else None,
-            }
-        )
+            yield row
+        yield {
+            "alpha_sq": x,
+            "round": "total",
+            "y_formula": report.cumulative_formula,
+            "y_oracle": report.cumulative_oracle,
+            "formula_check": (
+                "pass" if not report.discrepancies else "documented-discrepancy"
+            ),
+            "y_cumulative_oracle": report.cumulative_oracle,
+            "y_mc": sum(m.estimate for m in mc) if mc else None,
+        }
         summaries.append(
             {
                 "alpha_sq": x,
@@ -352,10 +348,9 @@ def _yield_table(cfg: RunConfig, walk: bool) -> tuple[list[dict], dict]:
                 "documented_discrepancies": len(report.discrepancies),
             }
         )
-    return rows, {"per_alpha": summaries}
 
 
-def cmd_concentrate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
+def cmd_concentrate(cfg: RunConfig, summary: dict) -> Iterator:
     header = [
         "alpha_sq",
         "round",
@@ -367,10 +362,10 @@ def cmd_concentrate(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
     ]
     if cfg.trials > 0:
         header += ["y_mc", "y_mc_stderr"]
-    return (header, *_yield_table(cfg, walk=True))
+    return _yield_table(cfg, summary, header, walk=True)
 
 
-def cmd_yield(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
+def cmd_yield(cfg: RunConfig, summary: dict) -> Iterator:
     header = [
         "alpha_sq",
         "round",
@@ -380,47 +375,56 @@ def cmd_yield(cfg: RunConfig) -> tuple[list[str], list[dict], dict]:
         "formula_check",
         "y_cumulative_oracle",
     ]
-    return (header, *_yield_table(cfg, walk=False))
+    return _yield_table(cfg, summary, header, walk=False)
 
 
 # -- output -----------------------------------------------------------------------
 
 
-def render_csv(header: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def render_csv(header: list[str], rows: Iterable[dict], out: IO) -> None:
+    """Write the CSV table to ``out``, each row as it arrives."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell(row.get(key)) for key in header])
-    return buf.getvalue()
+
+
+#: a flat row as ``json.dumps(doc, indent=2)`` prints it in its braces, encoded in C
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def render_json(
-    cfg: RunConfig, command: str, header: list[str], rows: list[dict], summary: dict
-) -> str:
-    config_echo = {
-        f.name: getattr(cfg, f.name) for f in fields(RunConfig)
-    }
+    cfg: RunConfig, command: str, header: list, rows: Iterable, summary: dict, out: IO
+) -> None:
+    """Write the bytes of ``json.dumps(doc, indent=2) + "\\n"`` to ``out``,
+    each row as it arrives; ``summary`` is read after the last row."""
+    config_echo = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     config_echo["command"] = command
-    doc = {
-        "config": {k: _jvalue(v) for k, v in config_echo.items()},
-        "rows": [
-            {key: _jvalue(row.get(key)) for key in header} for row in rows
-        ],
-        "summary": summary,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    head = {"config": {k: _jvalue(v) for k, v in config_echo.items()}}
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [')
+    sep = "\n"
+    for row in rows:
+        text = _ROW_ENCODER.encode({key: _jvalue(row.get(key)) for key in header})
+        out.write(sep + "    {\n      " + text[1:-1] + "\n    }")
+        sep = ",\n"
+    out.write("]" if sep == "\n" else "\n  ]")
+    out.write("," + json.dumps({"summary": summary}, indent=2)[1:] + "\n")
 
 
-def write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[IO]:
+    """A temporary file beside ``path`` that replaces it when the block ends
+    and is removed if the block raises."""
+    part = f"{path}.{os.getpid()}.part"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(part, path)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 # -- entry point --------------------------------------------------------------------
@@ -471,12 +475,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = resolve_config(args)
-        header, rows, summary = _COMMANDS[args.command](cfg)
-        if cfg.format == "json":
-            text = render_json(cfg, args.command, header, rows, summary)
-        else:
-            text = render_csv(header, rows)
-        write_output(text, cfg.output)
+        summary: dict = {}
+        rows = _COMMANDS[args.command](cfg, summary)
+        header = next(rows)
+        stdout = contextlib.nullcontext(sys.stdout)
+        with stdout if cfg.output is None else _replacing(cfg.output) as out:
+            if cfg.format == "json":
+                render_json(cfg, args.command, header, rows, summary, out)
+            else:
+                render_csv(header, rows, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

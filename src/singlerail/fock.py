@@ -50,7 +50,7 @@ MAX_ROUNDS = 1024
 #: rounds of the exact oracle (a ``CapacityError``): 2**n source pairs feed round n
 MAX_ORACLE_ROUNDS = 16
 #: swap-chain depth: every swap adds a table row; 10**5 swaps take about
-#: 4 s per alpha_sq point, table and reference included (2-vCPU Xeon)
+#: 2 s per alpha_sq point, table and reference included (2-vCPU Xeon)
 MAX_SWAP_DEPTH = 10**5
 #: Monte Carlo trials: 2**30 draws take seconds, and larger counts
 #: overflow numpy's samplers or run for hours
@@ -255,6 +255,8 @@ class FockState:
     __slots__ = ("register", "terms")
 
     def __init__(self, register: ModeRegister, terms: Mapping[Occupation, complex]):
+        if not isinstance(terms, Mapping):
+            raise ConfigError(f"terms must be a Mapping, got {_shown(terms)}")
         width = len(register)
         checked: dict[Occupation, complex] = {}
         for occ, amp in terms.items():
@@ -284,7 +286,7 @@ class FockState:
     # -- elementary queries ------------------------------------------------
 
     def amplitude(self, occupation: Occupation) -> complex:
-        return self.terms.get(tuple(occupation), 0j)
+        return self.terms.get(_occupation(occupation), 0j)
 
     def norm_sq(self) -> float:
         return _weight(self.terms.values())

@@ -83,14 +83,14 @@ def _program(n0: int, n1: int, c0: tuple, c1: tuple) -> tuple:
 def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
     """``bs`` on kets ``support`` of ``reg``: the output register and slots
     (output occupations), per ket its transfer program (None if no photon
-    meets the splitter) and the slots it feeds, then the post-register
-    and readout of detectors on the outputs (``_readout_groups``)."""
+    meets the splitter) and the slots it feeds, then the post-register and
+    readout of detectors on the outputs (``_readout_groups``) and per entry
+    the positions of the kets feeding its members, and the members' slots."""
     i0, i1 = reg.indices(bs.in_modes)
     names = list(reg.names)
     names[i0], names[i1] = bs.out_modes
     new_reg = ModeRegister(names, reg.cutoff)
-    c0 = bs.coefficients(bs.in_modes[0])
-    c1 = bs.coefficients(bs.in_modes[1])
+    c0, c1 = map(bs.coefficients, bs.in_modes)
     slots: dict[Occupation, int] = {}
     steps = []
     for occ in support:
@@ -101,22 +101,31 @@ def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
             fed.append(slots.setdefault(tuple(lifted), len(slots)))
         steps.append((program, tuple(fed)))
     if len(reg) == 2:  # detecting every mode leaves no post-state
-        return new_reg, tuple(slots), tuple(steps), None, ()
+        return new_reg, tuple(slots), tuple(steps), None, (), ()
     post_reg, readout = _readout_groups(new_reg, bs.out_modes, slots)
-    return new_reg, tuple(slots), tuple(steps), post_reg, readout
+    feeds = []
+    for *_, members in readout:
+        mine = tuple(slots[o] for o, _ in members)
+        fed_by = tuple(i for i, (_, fed) in enumerate(steps) if set(fed) & set(mine))
+        feeds.append((fed_by, mine))
+    return new_reg, tuple(slots), tuple(steps), post_reg, readout, tuple(feeds)
 
 
-def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict) -> tuple[tuple, dict]:
+def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict, entry=None) -> tuple:
     """The slot plan of ``bs`` on ``kets`` and the output kets, exact zeros
-    dropped: each ket replays its input's expansion, op by op."""
+    dropped: each ket replays its input's expansion, op by op.  With
+    ``entry``, only the kets feeding that readout entry replay, and only
+    its members are output."""
     plan = _slot_plan(reg, bs, tuple(kets))
-    _, slots, steps, *_ = plan
-    out = [0j] * len(slots)
-    for (program, fed), amp in zip(steps, kets.values()):
-        poly = [amp]
+    _, slots, steps, *_, feeds = plan
+    every = range(len(steps)), range(len(slots))
+    replayed, shown = every if entry is None else feeds[entry]
+    amps, out = tuple(kets.values()), [0j] * len(slots)
+    for i in replayed:
+        (program, fed), poly = steps[i], [amps[i]]
         if program is not None:
             divisor, layers, _ = program
-            poly = [amp / divisor]
+            poly = [amps[i] / divisor]
             for width, ops in layers:
                 raised = [0j] * width
                 for src, dst, c, ladder in ops:
@@ -124,7 +133,7 @@ def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict) -> tuple[tuple, di
                 poly = raised
         for slot, a in zip(fed, poly):
             out[slot] += a
-    return plan, _kept(dict(zip(slots, out)))
+    return plan, _kept({slots[s]: out[s] for s in shown})
 
 
 def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fock import DEFAULT_CUTOFF, MAX_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS
 from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _amplitude, _count, _kept, _partition, _product, _real
+from .fock import _amplitude, _count, _kept, _names, _partition, _product, _real
 from .optics import BeamSplitter, _flipped, _outcome_classes, _outputs, _weighed
 from .optics import phase_flip
 
@@ -76,6 +76,20 @@ def _past_float_max() -> ConfigError:
     return ConfigError("pair coefficients past ~1.34e154: their squares overflow")
 
 
+def _canonical(coeff_a: complex, coeff_b: complex) -> tuple[float, complex]:
+    """``from_coefficients``' arithmetic: canonical (alpha, beta), norm checked."""
+    try:
+        norm = math.sqrt(abs(coeff_a) ** 2 + abs(coeff_b) ** 2)
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf and cmath.isfinite(coeff_a) and cmath.isfinite(coeff_b):
+        raise _past_float_max()
+    if not norm >= 1e-12:  # NaN-safe
+        raise DegenerateStateError(f"pair coefficients have norm {norm!r}")
+    rotation = cmath.exp(-1j * cmath.phase(coeff_a if abs(coeff_a) > 0.0 else coeff_b))
+    return abs(coeff_a) / norm, coeff_b * rotation / norm
+
+
 @dataclass(frozen=True)
 class SingleRailPair:
     """One photon delocalized over two modes: alpha|1,0> + beta|0,1>.
@@ -92,6 +106,7 @@ class SingleRailPair:
     mode_b: ModeId = "b"
 
     def __post_init__(self):
+        _names((self.mode_a, self.mode_b), "pair modes")
         if self.mode_a == self.mode_b:
             raise RegisterError(f"pair modes must differ, got {self.mode_a!r} twice")
         # the package's own pairs hold a float and a complex: no reader runs
@@ -123,19 +138,14 @@ class SingleRailPair:
         """Normalize and rotate raw coefficients into canonical form."""
         coeff_a = _amplitude(coeff_a, "coeff_a")
         coeff_b = _amplitude(coeff_b, "coeff_b")
-        try:
-            norm = math.sqrt(abs(coeff_a) ** 2 + abs(coeff_b) ** 2)
-        except OverflowError:
-            norm = math.inf
-        if norm == math.inf and cmath.isfinite(coeff_a) and cmath.isfinite(coeff_b):
-            raise _past_float_max()
-        if not norm >= 1e-12:  # NaN-safe
-            raise DegenerateStateError(f"pair coefficients have norm {norm!r}")
-        if abs(coeff_a) > 0.0:
-            rotation = cmath.exp(-1j * cmath.phase(coeff_a))
-        else:
-            rotation = cmath.exp(-1j * cmath.phase(coeff_b))
-        return cls(abs(coeff_a) / norm, coeff_b * rotation / norm, mode_a, mode_b)
+        return cls(*_canonical(coeff_a, coeff_b), mode_a, mode_b)
+
+    @classmethod
+    def _of(cls, alpha: float, beta: complex, mode_a: ModeId, mode_b: ModeId):
+        """Trusted constructor for pairs the package computed: nothing is re-read."""
+        pair = object.__new__(cls)
+        vars(pair).update(alpha=alpha, beta=beta, mode_a=mode_a, mode_b=mode_b)
+        return pair
 
     @property
     def alpha_sq(self) -> float:
@@ -156,9 +166,7 @@ class SingleRailPair:
             return self
         if mode_a == mode_b:
             raise RegisterError(f"pair modes must differ, got {mode_a!r} twice")
-        new = object.__new__(type(self))
-        vars(new).update(alpha=self.alpha, beta=self.beta, mode_a=mode_a, mode_b=mode_b)
-        return new
+        return self._of(self.alpha, self.beta, mode_a, mode_b)
 
     def _kets(self) -> dict[Occupation, complex]:
         """The |10> and |01> kets, built here only: the stations read them too."""
@@ -304,16 +312,16 @@ def _label(station: BeamSplitter, fired: ModeId | None, pattern: tuple) -> str:
 
 
 def _pair_of(kets: dict, names: tuple) -> SingleRailPair:
-    """The pair on modes ``names`` of the |10> and |01> amplitudes in ``kets``;
-    a ket that is missing or underflowed to zero reads 0j."""
+    """The pair on modes ``names`` of the |10> and |01> amplitudes in computed
+    ``kets``, built trusted; a ket missing or underflowed to zero reads 0j."""
     a, b = kets.get((1, 0)) or 0j, kets.get((0, 1)) or 0j
-    return SingleRailPair.from_coefficients(a, b, *names)
+    return SingleRailPair._of(*_canonical(a, b), *names)
 
 
 def _readout(register: ModeRegister, station: BeamSplitter, kets: dict) -> tuple:
     """The station's post-register and its outcomes on ``kets``, from its slot
     plan, as (pattern, fired, weight, kets renormalized) in readout order."""
-    (*_, post_register, readout), out = _outputs(register, station, kets)
+    (*_, post_register, readout, _), out = _outputs(register, station, kets)
     return post_register, list(_weighed(readout, out))
 
 
@@ -360,19 +368,22 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
     station and reads only the D1 outcome's kets.  The k-th entry spans k+1
     links, so its coefficient ratio is the input ratio to the power k+1.
     """
-    n_swaps = _count(n_swaps, "swap count", most=MAX_SWAP_DEPTH)
+    return list(_swap_chain(pair, _count(n_swaps, "swap count", most=MAX_SWAP_DEPTH)))
+
+
+def _swap_chain(pair: SingleRailPair, n_swaps: int):
+    """``swap_chain_trace``'s pairs one at a time, for a count already read."""
     register, station = _station("swap", ("a", "b", "c", "d"))
-    current, trace, link = pair, [], pair._kets()
+    current, link = pair, pair._kets()
     for _ in range(n_swaps):
         joint = _kept(_product(current._kets(), link))
-        (*_, readout), out = _outputs(register, station, joint)
-        # readout order puts D1 first, so no other outcome is weighed
-        pattern, fired, _, post = next(_weighed(readout, out), ((), None, 0.0, None))
+        # readout order puts D1 first: only the kets feeding it replay
+        (*_, readout, _), d1 = _outputs(register, station, joint, 0)
+        pattern, fired, _, post = next(_weighed(readout[:1], d1), ((), None, 0.0, None))
         if _label(station, fired, pattern) != "D1":
             raise ContractError(f"a chain step read {pattern!r}, not D1's click")
         current = _pair_of(post, (pair.mode_a, pair.mode_b))
-        trace.append(current)
-    return trace
+        yield current
 
 
 # -- concentration ---------------------------------------------------------------

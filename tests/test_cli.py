@@ -26,6 +26,7 @@ from singlerail.cli import (
     fmt,
     main,
 )
+from singlerail.errors import ContractError
 from singlerail.protocols import swap_chain_trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -662,6 +663,95 @@ class TestOutputEncoding:
         assert doc["config"]["seed"] == 3
         assert doc["config"]["command"] == "concentrate"
         assert doc["summary"]["per_alpha"][0]["documented_discrepancies"] == 2
+
+
+class TestStreamedOutput:
+    """Rows are written as they are built; a run that stops early leaves no
+    partial ``--output`` file and an exit 1 writes no byte anywhere."""
+
+    @staticmethod
+    def _json_peak(tmp_path, alpha_sq, depth):
+        cfg = write_config(tmp_path, alpha_sq=alpha_sq, swap_depth=depth)
+        out = str(tmp_path / "table.json")
+        argv = ["swap-chain", "--config", cfg, "--format", "json", "--output", out]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_a_second_point_adds_no_memory(self, tmp_path):
+        # held rows grew by about 170 MB per point at MAX_SWAP_DEPTH
+        depth = 20000
+        # fills the plan caches for every ket support both chains reach
+        warm = write_config(tmp_path, alpha_sq=[0.3, 0.4], swap_depth=4000)
+        assert main(["swap-chain", "--config", warm, "--output", str(tmp_path / "w.csv")]) == 0
+        one = self._json_peak(tmp_path, [0.3], depth)
+        two = self._json_peak(tmp_path, [0.3, 0.4], depth)
+        assert two <= 1.2 * one
+        doc = json.loads((tmp_path / "table.json").read_text(encoding="utf-8"))
+        assert len(doc["rows"]) == 2 * depth
+
+    @pytest.mark.parametrize("command", ["generate", "swap-chain", "concentrate", "yield"])
+    def test_json_bytes_equal_the_indented_document(self, tmp_path, capsys, command):
+        config = {"p_a": [0.01, 0.02]} if command == "generate" else {"alpha_sq": [0.3, 0.8]}
+        cfg = write_config(tmp_path, **config)
+        code, out, _ = run_cli([command, "--config", cfg, "--format", "json"], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_an_empty_table_prints_as_the_indented_document(self):
+        buf = io.StringIO()
+        cfg = cli.RunConfig(alpha_sq=[0.5])
+        cli.render_json(cfg, "yield", ["alpha_sq"], iter(()), {"rows": 0}, buf)
+        assert json.loads(buf.getvalue())["rows"] == []
+        assert buf.getvalue() == json.dumps(json.loads(buf.getvalue()), indent=2) + "\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_a_bad_later_grid_entry_writes_no_byte(self, tmp_path, capsys, to_file):
+        # SourceParams refuses p_a 1.5: the whole grid is read before the
+        # header is written, so the two valid rows before it never appear
+        cfg = write_config(tmp_path, p_a=[0.01, 0.02, 1.5], p_b=0.01)
+        out_path = tmp_path / "table.csv"
+        argv = ["generate", "--config", cfg] + (["--output", str(out_path)] if to_file else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "config error: p_a must lie in (0, 1), got 1.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("error", [ContractError, ZeroDivisionError])
+    def test_an_error_mid_chain_leaves_no_file(self, tmp_path, capsys, monkeypatch, error):
+        chain = cli._swap_chain
+
+        def failing(pair, n_swaps):
+            for n, link in enumerate(chain(pair, n_swaps), start=1):
+                if n == 500:
+                    raise error("injected")
+                yield link
+
+        monkeypatch.setattr(cli, "_swap_chain", failing)
+        cfg = write_config(tmp_path, alpha_sq=0.3, swap_depth=1000)
+        argv = ["swap-chain", "--config", cfg, "--output", str(tmp_path / "table.csv")]
+        if error is ContractError:
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out, err) == (2, "", "internal error: injected\n")
+        else:
+            with pytest.raises(error):
+                main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_a_closed_form_failure_keeps_the_whole_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CLOSED_FORM_TOL", -1.0)
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.4], swap_depth=50)
+        out_path = tmp_path / "table.csv"
+        code, out, err = run_cli(["swap-chain", "--config", cfg, "--output", str(out_path)], capsys)
+        assert (code, out, err) == (2, "", "closed-form cross-check failed\n")
+        _, rows = parse_csv(out_path.read_text(encoding="utf-8"))
+        assert len(rows) == 100 and {r["closed_form_check"] for r in rows} == {"fail"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "table.csv"]
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -127,6 +127,25 @@ class TestFockStateConstruction:
         with pytest.raises(ConfigError, match="occupation must be a sequence of counts"):
             build(ModeRegister(("a", "b")))
 
+    @pytest.mark.parametrize("terms", [[((1, 0), 1.0)], ((1, 0), 1.0), None, "ab"], ids=repr)
+    def test_terms_that_are_not_a_mapping_rejected(self, terms):
+        # a list of pairs once raised a raw AttributeError on .items()
+        with pytest.raises(ConfigError, match="^terms must be a Mapping, got "):
+            FockState(ModeRegister(("a", "b")), terms)
+
+    @pytest.mark.parametrize("occupation", [5, None, 1.5])
+    def test_amplitude_of_what_is_not_an_occupation_rejected(self, occupation):
+        # amplitude(5) once raised a raw TypeError from tuple()
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1.0})
+        with pytest.raises(ConfigError, match="^occupation must be a sequence of counts"):
+            s.amplitude(occupation)
+
+    def test_amplitude_reads_occupations_as_the_constructor_does(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 0.6, (0, 1): 0.8})
+        assert s.amplitude([np.int64(1), 0]) == 0.6 and s.amplitude((0, 0)) == 0j
+        with pytest.raises(ConfigError, match="occupation must be >= 0"):
+            s.amplitude((-1, 0))
+
     def test_numpy_integer_occupations_are_read_as_int(self):
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(np.int64(1), np.int32(0)): 1.0})

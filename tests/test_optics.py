@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import singlerail
 from singlerail import (
     BeamSplitter,
     ConfigError,
@@ -18,6 +21,7 @@ from singlerail import (
     vacuum,
 )
 from singlerail.fock import MAX_CUTOFF, NORM_TOL
+from singlerail.optics import _outputs
 from conftest import SCALES, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -357,3 +361,57 @@ class TestPhaseFlip:
         for _ in range(50):
             s = random_state(rng, reg)
             assert phase_flip(s, "a").norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestReplayOfOneReadoutEntry:
+    """``_outputs`` with a readout entry replays only the kets its slot plan
+    records as feeding that entry's members."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_each_entry_equals_the_full_replay_bit_for_bit(self, rng, scale):
+        reg = ModeRegister(("a", "b", "c", "d"))
+        bs = BeamSplitter(("b", "c"), ("b", "c"), minus_input="c")
+        for _ in range(30):
+            state = random_state(rng, reg)
+            kets = {o: a * scale for o, a in state.terms.items() if rng.random() < 0.7}
+            if not kets:
+                continue
+            (*_, readout, feeds), full = _outputs(reg, bs, kets)
+            assert len(feeds) == len(readout)
+            for entry, (_, _, members) in enumerate(readout):
+                _, one = _outputs(reg, bs, kets, entry)
+                wanted = {o: full[o] for o, _ in members if o in full}
+                assert repr(one) == repr(wanted)
+
+    def test_the_feeding_set_follows_the_support(self):
+        # the two-photon ket |0110> feeds only multi-click patterns, so D1
+        # of a swap is fed by |1010> and |0101>: positions 0 and 3 of the
+        # full support, and 0 and 1 once the |1001>, |0110> kets are gone
+        reg = ModeRegister(("a", "b", "c", "d"))
+        bs = BeamSplitter(("b", "c"), ("b", "c"), minus_input="c")
+        full = {(1, 0, 1, 0): 0.5, (1, 0, 0, 1): 0.5, (0, 1, 1, 0): 0.5, (0, 1, 0, 1): 0.5}
+        outer = {(1, 0, 1, 0): 0.6, (0, 1, 0, 1): 0.8}
+        for kets, feeding in ((full, (0, 3)), (outer, (0, 1))):
+            (*_, readout, feeds), _ = _outputs(reg, bs, kets)
+            assert readout[0][1] == "b" and feeds[0][0] == feeding
+
+
+def _layer_loops() -> set[str]:
+    """The defs of the package holding a loop, or a comprehension, over a
+    transfer program's ``layers`` or a layer's ``ops``, by qualified name."""
+    found = set()
+    for path in pathlib.Path(singlerail.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                loop = getattr(node, "iter", None)
+                if isinstance(loop, ast.Name) and loop.id in ("layers", "ops"):
+                    found.add(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_only_outputs_replays_a_transfer_program():
+    # one replay loop: a second copy would fork the expansion's arithmetic
+    assert _layer_loops() == {"optics._outputs"}

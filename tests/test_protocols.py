@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlerail import (
@@ -37,7 +37,7 @@ from singlerail import (
     swap,
     swap_chain_trace,
 )
-from singlerail import protocols
+from singlerail import optics, protocols
 from singlerail.protocols import IterationLedger, RoundEntry, _class_label, _station
 from conftest import make_pair
 
@@ -147,6 +147,20 @@ class TestSingleRailPair:
         pair = SingleRailPair.from_coefficients(9e153, -9e153j)
         assert pair.alpha_sq == pytest.approx(0.5)
         assert pair.beta == pytest.approx(-1j * pair.alpha)
+
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: SingleRailPair(1.0, 0j, 1, 2), "1"),
+            (lambda: SingleRailPair(1.0, 0j, "a", ["b"]), r"\['b'\]"),
+            (lambda: SingleRailPair.from_coefficients(0.6, 0.8, "a", 2), "2"),
+        ],
+        ids=["direct", "list-name", "from_coefficients"],
+    )
+    def test_a_mode_name_that_is_not_a_string_is_refused(self, build, shown):
+        # the refusal once came only from ModeRegister inside to_state or swap
+        with pytest.raises(ConfigError, match=f"^pair modes must be str mode names, got {shown}$"):
+            build()
 
     def test_to_state_round_trip(self):
         pair = make_pair(0.7, theta=1.3)
@@ -265,6 +279,49 @@ class TestSwapChainIsTheD1BranchOfSwap:
         chain = swap_chain_trace(pair, 1500)
         assert abs(chain[-1].beta) ** 2 == 0.0 < abs(chain[-1].beta)
         assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, 1500)))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @example(alpha_sq=0.7, theta=3.0, depth=1500)
+    @example(alpha_sq=1e-5, theta=0.0, depth=1500)
+    @given(
+        alpha_sq=st.floats(1e-5, 0.7),
+        theta=st.floats(0.0, 3.0),
+        depth=st.integers(1, 1500),
+    )
+    def test_any_chain_equals_swap_bit_for_bit(self, alpha_sq, theta, depth):
+        # past alpha_sq 0.5 the smaller weight underflows mid-chain, the
+        # support loses kets and each new support brings its own feeding set
+        pair = make_pair(alpha_sq, theta=theta)
+        chain = swap_chain_trace(pair, depth)
+        assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, depth)))
+
+    def test_a_readout_without_d1_is_a_contract_error(self, monkeypatch):
+        # the chain replays only the first readout entry's feeding kets; if
+        # that entry is not D1's click, no other pair may be read instead
+        d1 = _station("swap", ("a", "b", "c", "d"))[1].out_modes[0]
+        plan = optics._slot_plan
+
+        def without_d1(*args):
+            *head, readout, feeds = plan(*args)
+            kept = [i for i, (_, fired, _) in enumerate(readout) if fired != d1]
+            return (*head, tuple(readout[i] for i in kept), tuple(feeds[i] for i in kept))
+
+        monkeypatch.setattr(optics, "_slot_plan", without_d1)
+        with pytest.raises(ContractError, match=r"read \(0, 1\), not D1's click"):
+            swap_chain_trace(make_pair(0.3, theta=0.3), 3)
+
+    def test_a_chain_step_re_reads_no_amplitude(self, monkeypatch):
+        # the chain's pairs come from kets the package computed: built by
+        # from_coefficients' arithmetic, with no reader or normalization check
+        expected = list(map(_bits, swap_chain_trace(make_pair(0.3, theta=0.3), 40)))
+        pair = make_pair(0.3, theta=0.3)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a chain step re-read a pair")
+
+        monkeypatch.setattr(SingleRailPair, "__post_init__", refused)
+        monkeypatch.setattr(protocols, "_amplitude", refused)
+        assert list(map(_bits, swap_chain_trace(pair, 40))) == expected
 
     @pytest.mark.parametrize("dropped", ["D1", "every outcome"])
     def test_a_step_without_d1_is_a_contract_error(self, monkeypatch, dropped):
@@ -779,7 +836,9 @@ class TestTheProbeReadIsQndMeasure:
 
 #: per private step of a round in ``protocols``, the only defs that name it
 WALK_REFERENCES = {
-    "from_coefficients": {"_pair_of"},
+    # kets become a pair by ``from_coefficients``' arithmetic, read once
+    "_canonical": {"SingleRailPair.from_coefficients", "_pair_of"},
+    "from_coefficients": set(),
     "_probe": {"_round"},
     "_check_copies": {"_round"},
     "_round": {"iterate_concentration", "concentration_round"},
