@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
@@ -205,9 +206,12 @@ def _jvalue(value):
 
 
 def cmd_generate(cfg: RunConfig, summary: dict) -> Iterator:
-    p_a, p_b = cfg.p_a or [0.01], cfg.p_b or [0.01]
-    n = max(len(p_a), len(p_b))  # a one-entry grid is broadcast over the other
-    p_a, p_b = (p * n if len(p) == 1 else p for p in (p_a, p_b))
+    p_a = cfg.p_a if cfg.p_a is not None else [0.01]
+    p_b = cfg.p_b if cfg.p_b is not None else [0.01]
+    if len(p_a) == 1 and len(p_b) > 1:
+        p_a = p_a * len(p_b)
+    if len(p_b) == 1 and len(p_a) > 1:
+        p_b = p_b * len(p_a)
     if len(p_a) != len(p_b):
         raise ConfigError(
             f"p_a and p_b grids must match in length, got {len(p_a)} vs {len(p_b)}"
@@ -306,8 +310,11 @@ def _yield_table(cfg: RunConfig, summary: dict, header: list[str], walk: bool):
         ledger = (
             iterate_concentration(pair, cfg.rounds, cfg.qnd_theta) if walk else None
         )
-        draws = ledger is not None and cfg.trials > 0
-        mc = monte_carlo_yield(ledger, cfg.trials, cfg.seed) if draws else []
+        mc = (
+            monte_carlo_yield(ledger, cfg.trials, cfg.seed)
+            if ledger is not None and cfg.trials > 0
+            else []
+        )
         report = compare_yield(pair.alpha, pair.beta, cfg.rounds, cfg.qnd_theta)
         cumulative = 0.0
         for i, term in enumerate(report.terms):
@@ -412,19 +419,30 @@ def render_json(
 
 
 @contextlib.contextmanager
-def _replacing(path: str) -> Iterator[IO]:
-    """A temporary file beside ``path`` that replaces it when the block ends
-    and is removed if the block raises."""
-    part = f"{path}.{os.getpid()}.part"
+def _output_file(path: str) -> Iterator[IO]:
+    """``--output``'s stream.  A new file is removed if the block raises; an
+    existing regular file is replaced from ``<path>.<pid>.part``, which takes
+    its mode and is removed if the block raises; so both hold the whole table
+    or what they held.  A symlink, device or pipe is written directly."""
     try:
-        with open(part, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(part, path)
+        try:
+            fh, made = open(path, "x", encoding="utf-8", newline=""), path
+        except FileExistsError:
+            mode = os.lstat(path).st_mode
+            made = f"{path}.{os.getpid()}.part" if stat.S_ISREG(mode) else None
+            fh = open(made or path, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                yield fh
+            if made not in (None, path):
+                os.chmod(made, stat.S_IMODE(mode))
+                os.replace(made, path)
+        except BaseException:
+            if made is not None:
+                os.remove(made)
+            raise
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
-    finally:
-        if os.path.exists(part):
-            os.remove(part)
 
 
 # -- entry point --------------------------------------------------------------------
@@ -479,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = _COMMANDS[args.command](cfg, summary)
         header = next(rows)
         stdout = contextlib.nullcontext(sys.stdout)
-        with stdout if cfg.output is None else _replacing(cfg.output) as out:
+        with stdout if cfg.output is None else _output_file(cfg.output) as out:
             if cfg.format == "json":
                 render_json(cfg, args.command, header, rows, summary, out)
             else:

@@ -90,7 +90,8 @@ def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
     names = list(reg.names)
     names[i0], names[i1] = bs.out_modes
     new_reg = ModeRegister(names, reg.cutoff)
-    c0, c1 = map(bs.coefficients, bs.in_modes)
+    c0 = bs.coefficients(bs.in_modes[0])
+    c1 = bs.coefficients(bs.in_modes[1])
     slots: dict[Occupation, int] = {}
     steps = []
     for occ in support:
@@ -118,14 +119,16 @@ def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict, entry=None) -> tup
     its members are output."""
     plan = _slot_plan(reg, bs, tuple(kets))
     _, slots, steps, *_, feeds = plan
-    every = range(len(steps)), range(len(slots))
-    replayed, shown = every if entry is None else feeds[entry]
-    amps, out = tuple(kets.values()), [0j] * len(slots)
-    for i in replayed:
-        (program, fed), poly = steps[i], [amps[i]]
+    replayed = zip(steps, kets.values())
+    if entry is not None:  # only the kets feeding the entry, in support order
+        amps = tuple(kets.values())
+        replayed = [(steps[i], amps[i]) for i in feeds[entry][0]]
+    out = [0j] * len(slots)
+    for (program, fed), amp in replayed:
+        poly = [amp]
         if program is not None:
             divisor, layers, _ = program
-            poly = [amps[i] / divisor]
+            poly = [amp / divisor]
             for width, ops in layers:
                 raised = [0j] * width
                 for src, dst, c, ladder in ops:
@@ -133,7 +136,9 @@ def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict, entry=None) -> tup
                 poly = raised
         for slot, a in zip(fed, poly):
             out[slot] += a
-    return plan, _kept({slots[s]: out[s] for s in shown})
+    if entry is None:
+        return plan, _kept(dict(zip(slots, out)))
+    return plan, _kept({slots[s]: out[s] for s in feeds[entry][1]})
 
 
 def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:

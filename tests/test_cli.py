@@ -5,8 +5,10 @@ import math
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -722,8 +724,8 @@ class TestStreamedOutput:
         assert err == "config error: p_a must lie in (0, 1), got 1.5\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    @pytest.mark.parametrize("error", [ContractError, ZeroDivisionError])
-    def test_an_error_mid_chain_leaves_no_file(self, tmp_path, capsys, monkeypatch, error):
+    @staticmethod
+    def _fail_mid_chain(monkeypatch, error=ContractError):
         chain = cli._swap_chain
 
         def failing(pair, n_swaps):
@@ -733,6 +735,10 @@ class TestStreamedOutput:
                 yield link
 
         monkeypatch.setattr(cli, "_swap_chain", failing)
+
+    @pytest.mark.parametrize("error", [ContractError, ZeroDivisionError])
+    def test_an_error_mid_chain_leaves_no_file(self, tmp_path, capsys, monkeypatch, error):
+        self._fail_mid_chain(monkeypatch, error)
         cfg = write_config(tmp_path, alpha_sq=0.3, swap_depth=1000)
         argv = ["swap-chain", "--config", cfg, "--output", str(tmp_path / "table.csv")]
         if error is ContractError:
@@ -742,6 +748,55 @@ class TestStreamedOutput:
             with pytest.raises(error):
                 main(argv)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["whole", "mid-chain-error"])
+    def test_an_existing_file_keeps_its_mode_and_is_replaced_only_when_whole(
+        self, tmp_path, capsys, monkeypatch, fails
+    ):
+        cfg = write_config(tmp_path, alpha_sq=0.3, swap_depth=1000)
+        code, table, _ = run_cli(["swap-chain", "--config", cfg], capsys)
+        assert code == 0
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("old\n", encoding="utf-8")
+        out_path.chmod(0o640)
+        if fails:
+            self._fail_mid_chain(monkeypatch)
+        code, out, _ = run_cli(["swap-chain", "--config", cfg, "--output", str(out_path)], capsys)
+        assert (code, out) == ((2, "") if fails else (0, ""))
+        assert out_path.read_text(encoding="utf-8") == ("old\n" if fails else table)
+        assert out_path.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "table.csv"]
+
+    def test_a_symlink_is_written_through_and_kept(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=0.3, swap_depth=50)
+        code, table, _ = run_cli(["swap-chain", "--config", cfg], capsys)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        code, out, _ = run_cli(["swap-chain", "--config", cfg, "--output", str(link)], capsys)
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text(encoding="utf-8") == table
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["config.json", "link.csv", "target.csv"]
+
+    def test_a_pipe_is_written_directly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.4], swap_depth=500)
+        code, table, _ = run_cli(["swap-chain", "--config", cfg], capsys)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        # a daemon: a run that never opens the pipe leaves the reader blocked
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        code, out, err = run_cli(["swap-chain", "--config", cfg, "--output", str(fifo)], capsys)
+        reader.join(timeout=30)
+        assert (code, out, err) == (0, "", "")
+        assert received == [table.encode("utf-8")]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "pipe"]
 
     def test_a_closed_form_failure_keeps_the_whole_table(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "CLOSED_FORM_TOL", -1.0)
