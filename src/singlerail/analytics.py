@@ -32,7 +32,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Dec
 from fractions import Fraction
 
 from .errors import CapacityError, ConfigError
-from .fock import MAX_ORACLE_ROUNDS, MAX_ROUNDS, MAX_TRIALS
+from .fock import MAX_ORACLE_BITS, MAX_ORACLE_ROUNDS, MAX_ROUNDS, MAX_TRIALS
 from .fock import _amplitude, _count, _real, _shown, _weight
 from .protocols import KEEP, RECYCLE, IterationLedger, SingleRailPair, _probe
 
@@ -156,10 +156,14 @@ def yield_oracle(
     pairs, and each later attempt eats two recycled survivors.  A probe
     without a one-photon class keeps nothing, and one without the merged
     {0, 2} class recycles nothing, so later rounds see no attempts.
-    Its cost grows about 4× per round (8 s at 13 rounds), so about 8 min
-    extrapolated at its cap of 16; the CLI never calls it.
+    Its numbers reach b * 2**n bits from a start weight of b bits, and
+    its time about 4× per doubling (hours for 1e-300 at 16 rounds), so past
+    ``MAX_ORACLE_BITS`` it raises ``CapacityError``; the CLI never calls it.
     """
     n_rounds, x, _ = _oracle_weight(alpha, beta, n_rounds)
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length()) << n_rounds
+    if bits > MAX_ORACLE_BITS:
+        raise CapacityError(f"the oracle would reach {bits} bits, past {MAX_ORACLE_BITS}")
     actions = _probe_actions(qnd_theta)
     zero = Fraction(0)
 

@@ -26,6 +26,7 @@ Conventions enforced here:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 import operator
@@ -49,8 +50,11 @@ MAX_CUTOFF = 32
 MAX_ROUNDS = 1024
 #: rounds of the exact oracle (a ``CapacityError``): 2**n source pairs feed round n
 MAX_ORACLE_ROUNDS = 16
+#: bits of the ``Fraction`` oracle's numbers, its start weight's times 2**n:
+#: alpha_sq 1e-300 over 10 rounds, the largest, takes about 5.5 s (2-vCPU Xeon)
+MAX_ORACLE_BITS = 1103 * 2**10
 #: swap-chain depth: every swap adds a table row; 10**5 swaps take about
-#: 2 s per alpha_sq point, table and reference included (2-vCPU Xeon)
+#: 1.5 s per alpha_sq point, JSON table and reference included (2-vCPU Xeon)
 MAX_SWAP_DEPTH = 10**5
 #: Monte Carlo trials: 2**30 draws take seconds, and larger counts
 #: overflow numpy's samplers or run for hours
@@ -151,36 +155,28 @@ def _weight(amps: Iterable[complex]) -> float:
         raise ConfigError("|amplitude| past ~1.34e154: its square overflows") from None
 
 
-def _renormalized(kets: dict[Occupation, complex]) -> tuple[float, dict]:
-    """The weight of ``kets`` and, when it is positive, ``kets`` at unit norm."""
-    prob = _weight(kets.values())
-    if prob > 0.0:
+def _unit(amps: Iterable[complex], unit: bool = True) -> tuple[float, list]:
+    """The weight of ``amps`` and, when it is positive and ``unit`` holds,
+    ``amps`` at unit norm; a non-finite amplitude is a ``ConfigError``."""
+    prob = _weight(amps)
+    if not math.isfinite(prob):
+        raise ConfigError(f"non-finite amplitude: the weight reads {prob!r}")
+    if unit and prob > 0.0:
         scale = 1.0 / math.sqrt(prob)
-        kets = {occ: a * scale for occ, a in kets.items()}
-    return prob, kets
+        amps = [a * scale for a in amps]
+    return prob, amps
 
 
-def _partition(kets: Mapping[Occupation, complex], key: Grouping) -> dict:
-    """``FockState.partition`` on kets: per key, (weight, kets renormalized)."""
-    groups: dict[Hashable, dict[Occupation, complex]] = {}
-    for occ, amp in kets.items():
-        groups.setdefault(key(occ), {})[occ] = amp
-    return {k: w for k, m in groups.items() if (w := _renormalized(m))[0] > 0.0}
-
-
-def _product(left: Mapping, right: Mapping) -> dict[Occupation, complex]:
-    """Each ket of ``left`` joined with each of ``right``, amplitudes multiplied."""
-    return {o1 + o2: a1 * a2 for o1, a1 in left.items() for o2, a2 in right.items()}
-
-
-def _kept(terms: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
-    """``terms`` without exact zeros (``terms`` itself if it holds none); a
-    non-finite amplitude is a ``ConfigError``."""
-    kept = terms if all(terms.values()) else {o: a for o, a in terms.items() if a}
-    if not all(map(cmath.isfinite, kept.values())):
-        occ, amp = next((o, a) for o, a in kept.items() if not cmath.isfinite(a))
+def _nonzero(keys, amps) -> tuple:
+    """Kets held as keys and amplitudes (tuples, or a dict's views), exact
+    zeros dropped; a non-finite amplitude is a ``ConfigError``."""
+    if not all(amps):
+        keys = tuple(k for k, a in zip(keys, amps) if a)
+        amps = tuple(filter(None, amps))
+    if not all(map(cmath.isfinite, amps)):
+        occ, amp = next((o, a) for o, a in zip(keys, amps) if not cmath.isfinite(a))
         raise ConfigError(f"non-finite amplitude for {occ!r}: {amp!r}")
-    return kept
+    return keys, amps
 
 
 class ModeRegister:
@@ -273,14 +269,16 @@ class FockState:
                 raise ConfigError(f"two keys name occupation {_shown(occ)}")
             checked[occ] = _amplitude(amp, "amplitude")
         self.register = register
-        self.terms = _kept(checked)
+        self.terms = dict(zip(*_nonzero(checked.keys(), checked.values())))
 
     @classmethod
     def _of(cls, register: ModeRegister, terms: Mapping[Occupation, complex]):
         """Trusted constructor for operation results: occupations unchecked;
         ``terms`` becomes the state's own dict when it holds no zero."""
         state = object.__new__(cls)
-        state.register, state.terms = register, _kept(terms)
+        keys, amps = _nonzero(terms.keys(), terms.values())
+        state.register = register
+        state.terms = terms if len(keys) == len(terms) else dict(zip(keys, amps))
         return state
 
     # -- elementary queries ------------------------------------------------
@@ -338,18 +336,27 @@ class FockState:
         """
         cutoff = max(self.register.cutoff, other.register.cutoff)
         reg = ModeRegister(self.register.names + other.register.names, cutoff)
-        return FockState(reg, _product(self.terms, other.terms))
+        pairs = itertools.product(self.terms.items(), other.terms.items())
+        return FockState(reg, {o1 + o2: a1 * a2 for (o1, a1), (o2, a2) in pairs})
 
     # -- measurement-style operations ---------------------------------------
 
     def partition(self, key: Grouping) -> dict[Hashable, tuple[float, "FockState"]]:
-        """Group kets by ``key(occupation)`` in one pass, one readout (the
-        rule is ``_partition``): ``{key: (probability, renormalized state)}``
-        in order of first appearance, zero-probability groups left out since
-        impossible outcomes are data, not errors.  Post-states keep every mode.
+        """Group kets by ``key(occupation)`` in one pass, one readout, each
+        group renormalized by ``_unit``: ``{key: (probability, renormalized
+        state)}`` in order of first appearance, zero-probability groups left
+        out since impossible outcomes are data, not errors.  Post-states keep
+        every mode.
         """
-        seen = _partition(self.terms, key)
-        return {k: (p, FockState._of(self.register, t)) for k, (p, t) in seen.items()}
+        groups: dict[Hashable, dict[Occupation, complex]] = {}
+        for occ, amp in self.terms.items():
+            groups.setdefault(key(occ), {})[occ] = amp
+        seen = {}
+        for k, kets in groups.items():
+            prob, amps = _unit(kets.values())
+            if prob > 0.0:
+                seen[k] = prob, FockState._of(self.register, dict(zip(kets, amps)))
+        return seen
 
     def project(
         self, predicate: Callable[[Occupation], bool]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fock import MAX_CUTOFF, PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
-from .fock import Occupation, _count, _kept, _names, _readout_plan, _real, _renormalized
-from .fock import _slots
+from .fock import Occupation, _count, _names, _readout_plan, _real, _slots, _unit
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -62,30 +61,65 @@ class BeamSplitter:
 
 def _program(n0: int, n1: int, c0: tuple, c1: tuple) -> tuple:
     """How |n0,n1> = (x^dag)^n0 (y^dag)^n1 / sqrt(n0! n1!) |00> expands in
-    the output basis: the divisor, then one layer per creation operator
-    over the polynomial's output occupations, each term as (source key,
-    new key, coefficient, sqrt(n+1) ladder factor) in the order the
-    expansion accumulates it, then the output occupations."""
-    keys, layers = ((0, 0),), []
+    the output basis, on a row of |00> then each creation operator's
+    polynomial: the divisor, each term as (source, destination, coefficient,
+    sqrt(n+1) ladder factor) in the order the expansion accumulates it, the
+    last polynomial's start and its output occupations."""
+    keys, ops, base = ((0, 0),), [], 0
     for cu, cv in (c0,) * n0 + (c1,) * n1:
         raised: dict[tuple[int, int], int] = {}
-        ops = []
+        top = base + len(keys)
         for src, (mu, mv) in enumerate(keys):
             for key, c, n in (((mu + 1, mv), cu, mu), ((mu, mv + 1), cv, mv)):
                 dst = raised.setdefault(key, len(raised))
-                ops.append((src, dst, c, math.sqrt(n + 1)))
-        keys = tuple(raised)
-        layers.append((len(keys), tuple(ops)))
-    return math.sqrt(math.factorial(n0) * math.factorial(n1)), tuple(layers), keys
+                ops.append((base + src, top + dst, c, math.sqrt(n + 1)))
+        keys, base = tuple(raised), top
+    return math.sqrt(math.factorial(n0) * math.factorial(n1)), tuple(ops), base, keys
+
+
+def _kernel(steps: tuple, n: int, wanted: tuple, keys: tuple) -> tuple:
+    """The kernel of output slots ``wanted``, keyed ``keys``, from ``n`` kets'
+    ``steps``: per feeding ket with a program (position, divisor, row), the
+    ops of those programs but the last polynomial's that reach no wanted
+    slot, the (source, output) additions, the zeroed rows and ``keys``."""
+    out = {slot: n + j for j, slot in enumerate(wanted)}
+    divs, flat, adds, top = [], [], [], n + len(out)
+    for i, (program, fed) in enumerate(steps):
+        needed = [k for k, slot in enumerate(fed) if slot in out]
+        if program is None or not needed:
+            adds += [(i, out[fed[k]]) for k in needed]
+            continue
+        divisor, ops, last, _ = program
+        divs.append((i, divisor, top))
+        reached = (op for op in ops if op[1] < last or op[1] - last in needed)
+        flat += [(top + s, top + d, c, lad) for s, d, c, lad in reached]
+        adds += [(top + last + k, out[fed[k]]) for k in needed]
+        top += last + len(fed)
+    return tuple(divs), tuple(flat), tuple(adds), (0j,) * (top - n), keys
+
+
+def _run(kernel: tuple, amps: tuple) -> list:
+    """``kernel`` on the amplitudes of its input kets: its outputs, in its
+    keys' order.  Every op of the expansion runs, ÷1.0 and ×1.0 too (complex
+    arithmetic flips the sign of a zero), and every sum starts at 0j."""
+    divs, ops, adds, zeros, keys = kernel
+    buf = [*amps, *zeros]
+    for i, divisor, dst in divs:
+        buf[dst] = buf[i] / divisor
+    for src, dst, c, ladder in ops:
+        buf[dst] += buf[src] * c * ladder
+    for src, dst in adds:
+        buf[dst] += buf[src]
+    return buf[len(amps) : len(amps) + len(keys)]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
-    """``bs`` on kets ``support`` of ``reg``: the output register and slots
-    (output occupations), per ket its transfer program (None if no photon
-    meets the splitter) and the slots it feeds, then the post-register and
-    readout of detectors on the outputs (``_readout_groups``) and per entry
-    the positions of the kets feeding its members, and the members' slots."""
+    """``bs`` on kets ``support`` of ``reg``: the output register and the
+    kernel of every output occupation in first-appearance order, then the
+    post-register of detectors on the outputs and per readout entry
+    (``_readout_groups``) its pattern, fired detector and the kernel of its
+    members, keyed by their kept occupations.  Compiled once per support."""
     i0, i1 = reg.indices(bs.in_modes)
     names = list(reg.names)
     names[i0], names[i1] = bs.out_modes
@@ -98,47 +132,19 @@ def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
         n0, n1 = occ[i0], occ[i1]
         program = _program(n0, n1, c0, c1) if n0 or n1 else None
         lifted, fed = list(occ), []
-        for lifted[i0], lifted[i1] in program[2] if program else [(n0, n1)]:
+        for lifted[i0], lifted[i1] in program[-1] if program else [(n0, n1)]:
             fed.append(slots.setdefault(tuple(lifted), len(slots)))
         steps.append((program, tuple(fed)))
+    n = len(support)
+    every = _kernel(steps, n, tuple(slots.values()), tuple(slots))
     if len(reg) == 2:  # detecting every mode leaves no post-state
-        return new_reg, tuple(slots), tuple(steps), None, (), ()
+        return new_reg, every, None, ()
     post_reg, readout = _readout_groups(new_reg, bs.out_modes, slots)
-    feeds = []
-    for *_, members in readout:
-        mine = tuple(slots[o] for o, _ in members)
-        fed_by = tuple(i for i, (_, fed) in enumerate(steps) if set(fed) & set(mine))
-        feeds.append((fed_by, mine))
-    return new_reg, tuple(slots), tuple(steps), post_reg, readout, tuple(feeds)
-
-
-def _outputs(reg: ModeRegister, bs: BeamSplitter, kets: dict, entry=None) -> tuple:
-    """The slot plan of ``bs`` on ``kets`` and the output kets, exact zeros
-    dropped: each ket replays its input's expansion, op by op.  With
-    ``entry``, only the kets feeding that readout entry replay, and only
-    its members are output."""
-    plan = _slot_plan(reg, bs, tuple(kets))
-    _, slots, steps, *_, feeds = plan
-    replayed = zip(steps, kets.values())
-    if entry is not None:  # only the kets feeding the entry, in support order
-        amps = tuple(kets.values())
-        replayed = [(steps[i], amps[i]) for i in feeds[entry][0]]
-    out = [0j] * len(slots)
-    for (program, fed), amp in replayed:
-        poly = [amp]
-        if program is not None:
-            divisor, layers, _ = program
-            poly = [amp / divisor]
-            for width, ops in layers:
-                raised = [0j] * width
-                for src, dst, c, ladder in ops:
-                    raised[dst] += poly[src] * c * ladder
-                poly = raised
-        for slot, a in zip(fed, poly):
-            out[slot] += a
-    if entry is None:
-        return plan, _kept(dict(zip(slots, out)))
-    return plan, _kept({slots[s]: out[s] for s in feeds[entry][1]})
+    entries = tuple(
+        (pattern, fired, _kernel(steps, n, *zip(*((slots[o], k) for o, k in members))))
+        for pattern, fired, members in readout
+    )
+    return new_reg, every, post_reg, entries
 
 
 def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
@@ -148,8 +154,9 @@ def apply_beam_splitter(state: FockState, bs: BeamSplitter) -> FockState:
     total photon number is conserved term by term.  Each ket replays its
     input's expansion from the slot plan of the state's kets.
     """
-    (register, *_), out = _outputs(state.register, bs, state.terms)
-    return FockState._of(register, out)
+    register, every, *_ = _slot_plan(state.register, bs, tuple(state.terms))
+    out = _run(every, tuple(state.terms.values()))
+    return FockState._of(register, dict(zip(every[-1], out)))
 
 
 @dataclass(frozen=True)
@@ -257,10 +264,13 @@ def detect_single_photon(
     """
     det = _names(detector_modes, "detector modes")
     post_reg, readout = _readout_groups(state.register, det, state.terms)
-    return [
-        DetectionOutcome(fired, p, prob, FockState._of(post_reg, post), sum(p) >= 2)
-        for p, fired, prob, post in _weighed(readout, state.terms)
-    ]
+    outcomes = []
+    for pattern, fired, members in readout:
+        prob, amps = _unit([state.terms[o] for o, _ in members])
+        if prob > 0.0:
+            post = FockState._of(post_reg, {k: a for (_, k), a in zip(members, amps)})
+            outcomes.append(DetectionOutcome(fired, pattern, prob, post, sum(pattern) >= 2))
+    return outcomes
 
 
 def _readout_groups(reg: ModeRegister, det: tuple[ModeId, ...], support) -> tuple:
@@ -282,21 +292,13 @@ def _readout_groups(reg: ModeRegister, det: tuple[ModeId, ...], support) -> tupl
     return post_reg, tuple(readout)
 
 
-def _weighed(readout: tuple, kets: dict):
-    """Per pattern of ``readout`` with positive weight in ``kets``: the
-    pattern, its fired detector, weight and members renormalized."""
-    for pattern, fired, members in readout:
-        prob, post = _renormalized({k: kets[o] for o, k in members if o in kets})
-        if prob > 0.0:
-            yield pattern, fired, prob, post
-
-
 def phase_flip(state: FockState, mode: ModeId) -> FockState:
     """Apply ``(-1)^n`` on ``mode``; exact involution (pure sign flips)."""
     i = state.register.index(mode)
-    return FockState._of(state.register, _flipped(state.terms, i))
+    kets = state.terms
+    return FockState._of(state.register, dict(zip(kets, _flipped(kets, kets.values(), i))))
 
 
-def _flipped(kets: dict, i: int) -> dict:
-    """``kets`` with ``(-1)^n`` applied on slot ``i``: pure sign flips."""
-    return {occ: (-amp if occ[i] % 2 else amp) for occ, amp in kets.items()}
+def _flipped(keys, amps, i: int) -> list:
+    """``amps`` of kets ``keys`` with ``(-1)^n`` on slot ``i``: sign flips."""
+    return [-amp if occ[i] % 2 else amp for occ, amp in zip(keys, amps)]

@@ -15,9 +15,11 @@ Control flow never inspects amplitudes: decisions are pure functions of
 herald records (see ``herald_action``).  One generator, ``_round``, walks
 a concentration round's branches: ``iterate_concentration`` keeps them in
 its ledger, ``run_monte_carlo`` samples the ledger's first round, and
-``concentration_round`` wraps them in records.  The stations read kets by
-the instruments' own rules: ``fock._product`` joins two pairs (``tensor``),
-``fock._partition`` reads the probe (``qnd_measure``), ``optics._flipped``
+``concentration_round`` wraps them in records.  A step runs kernels the
+slot plan compiled once per support (``optics._run``) on tuples of
+amplitudes: ``_joint`` forms two pairs' kets by ``tensor``'s arithmetic,
+``_probe``'s groups read the probe by ``qnd_measure``'s rule, ``_readout``
+weighs each detector outcome by ``detect_single_photon``'s, ``optics._flipped``
 flips D2 (``phase_flip``) and ``_pair_of`` alone turns kets into a pair.
 """
 
@@ -39,16 +41,17 @@ from .errors import (
     RegisterError,
 )
 from .fock import DEFAULT_CUTOFF, MAX_ROUNDS, MAX_SWAP_DEPTH, MAX_TRIALS
-from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister, Occupation
-from .fock import _amplitude, _count, _kept, _names, _partition, _product, _real
-from .optics import BeamSplitter, _flipped, _outcome_classes, _outputs, _weighed
-from .optics import phase_flip
+from .fock import PLAN_CACHE_SIZE, FockState, ModeId, ModeRegister
+from .fock import _amplitude, _count, _names, _nonzero, _real, _slots, _unit
+from .optics import BeamSplitter, _flipped, _outcome_classes, _run, _slot_plan, phase_flip
 
 if TYPE_CHECKING:
     import numpy as np
 
 #: tolerance for "these two pairs are copies of each other"
 PAIR_MATCH_TOL = 1e-12
+#: the joint kets of two pairs, |10> and |01> of each, in ``FockState.tensor``'s order
+_JOINT = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 #: uniforms drawn at a time by ``count_draws``; bounds its memory
 DRAW_CHUNK = 2**20
 
@@ -168,13 +171,10 @@ class SingleRailPair:
             raise RegisterError(f"pair modes must differ, got {mode_a!r} twice")
         return self._of(self.alpha, self.beta, mode_a, mode_b)
 
-    def _kets(self) -> dict[Occupation, complex]:
-        """The |10> and |01> kets, built here only: the stations read them too."""
-        return {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
-
     def to_state(self) -> FockState:
-        """The pair's ``_kets`` on its two modes, exact zeros dropped."""
-        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), self._kets())
+        """The pair's |10> and |01> kets on its two modes, exact zeros dropped."""
+        kets = {(1, 0): complex(self.alpha), (0, 1): complex(self.beta)}
+        return FockState._of(ModeRegister((self.mode_a, self.mode_b)), kets)
 
     def close_to(self, other: "SingleRailPair") -> bool:
         return (
@@ -240,7 +240,7 @@ class ProtocolResult:
         if self.tag is not Tag.SUCCESS:
             return None
         state = self.corrected_state()
-        return _pair_of(state.terms, state.register.names)
+        return _pair_of(tuple(state.terms), tuple(state.terms.values()), state.register.names)
 
 
 def _class_label(cls: frozenset[int]) -> str:
@@ -311,18 +311,32 @@ def _label(station: BeamSplitter, fired: ModeId | None, pattern: tuple) -> str:
     return "D1" if fired == station.out_modes[0] else "D2"
 
 
-def _pair_of(kets: dict, names: tuple) -> SingleRailPair:
-    """The pair on modes ``names`` of the |10> and |01> amplitudes in computed
-    ``kets``, built trusted; a ket missing or underflowed to zero reads 0j."""
-    a, b = kets.get((1, 0)) or 0j, kets.get((0, 1)) or 0j
-    return SingleRailPair._of(*_canonical(a, b), *names)
+def _pair_of(keys: tuple, amps, names: tuple) -> SingleRailPair:
+    """The pair on modes ``names`` of the |10> and |01> amplitudes of computed
+    kets ``keys``, ``amps``, built trusted; one missing or zero reads 0j."""
+    a = amps[keys.index((1, 0))] if (1, 0) in keys else 0j
+    b = amps[keys.index((0, 1))] if (0, 1) in keys else 0j
+    return SingleRailPair._of(*_canonical(a or 0j, b or 0j), *names)
 
 
-def _readout(register: ModeRegister, station: BeamSplitter, kets: dict) -> tuple:
-    """The station's post-register and its outcomes on ``kets``, from its slot
-    plan, as (pattern, fired, weight, kets renormalized) in readout order."""
-    (*_, post_register, readout, _), out = _outputs(register, station, kets)
-    return post_register, list(_weighed(readout, out))
+def _joint(pair1: SingleRailPair, pair2: SingleRailPair) -> tuple:
+    """The amplitudes of ``_JOINT``: ``FockState.tensor``'s arithmetic on the
+    pairs' ``to_state`` kets, read without building them."""
+    a1, b1, a2, b2 = complex(pair1.alpha), pair1.beta, complex(pair2.alpha), pair2.beta
+    return a1 * a2, a1 * b2, b1 * a2, b1 * b2
+
+
+def _readout(register: ModeRegister, station: BeamSplitter, keys, amps, unit=True) -> tuple:
+    """The station's post-register and, from each readout entry's kernel on
+    kets ``keys``, ``amps``, per outcome of positive weight (pattern, fired,
+    weight, kets as keys and amplitudes, at unit norm with ``unit``)."""
+    *_, post_register, entries = _slot_plan(register, station, keys)
+    outcomes = []
+    for pattern, fired, kernel in entries:
+        prob, post = _unit(_run(kernel, amps), unit)
+        if prob > 0.0:
+            outcomes.append((pattern, fired, prob, (kernel[-1], post)))
+    return post_register, outcomes
 
 
 def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResult]:
@@ -340,8 +354,8 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
     register, station = _station(
         "swap", (pair_ab.mode_a, pair_ab.mode_b, pair_cd.mode_a, pair_cd.mode_b)
     )
-    joint = _kept(_product(pair_ab._kets(), pair_cd._kets()))
-    post_register, outcomes = _readout(register, station, joint)
+    joint = _nonzero(_JOINT, _joint(pair_ab, pair_cd))
+    post_register, outcomes = _readout(register, station, *joint)
     results = []
     for pattern, fired, prob, post in outcomes:
         success = fired is not None
@@ -356,7 +370,7 @@ def swap(pair_ab: SingleRailPair, pair_cd: SingleRailPair) -> list[ProtocolResul
             detector=label if success else None,
         )
         tag = Tag.SUCCESS if success else Tag.FAILURE
-        state = FockState._of(post_register, post)
+        state = FockState._of(post_register, dict(zip(*post)))
         results.append(ProtocolResult(tag, herald, prob, state))
     return results
 
@@ -374,15 +388,18 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
 def _swap_chain(pair: SingleRailPair, n_swaps: int):
     """``swap_chain_trace``'s pairs one at a time, for a count already read."""
     register, station = _station("swap", ("a", "b", "c", "d"))
-    current, link = pair, pair._kets()
+    names, current, seen = (pair.mode_a, pair.mode_b), pair, None
     for _ in range(n_swaps):
-        joint = _kept(_product(current._kets(), link))
-        # readout order puts D1 first: only the kets feeding it replay
-        (*_, readout, _), d1 = _outputs(register, station, joint, 0)
-        pattern, fired, _, post = next(_weighed(readout[:1], d1), ((), None, 0.0, None))
+        support, amps = _nonzero(_JOINT, _joint(current, pair))
+        if support != seen:  # a plan lookup only when a weight underflows
+            seen, entries = support, _slot_plan(register, station, support)[-1]
+        pattern, fired, kernel = entries[0]  # readout order puts D1 first
+        prob, post = _unit(_run(kernel, amps))
+        if not prob > 0.0:  # no outcome to read
+            pattern, fired = (), None
         if _label(station, fired, pattern) != "D1":
             raise ContractError(f"a chain step read {pattern!r}, not D1's click")
-        current = _pair_of(post, (pair.mode_a, pair.mode_b))
+        current = _pair_of(kernel[-1], post, names)
         yield current
 
 
@@ -401,44 +418,51 @@ def _check_copies(pair1: SingleRailPair, pair2: SingleRailPair) -> None:
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _probe(qnd_theta: float) -> tuple:
-    """The QND probe of a concentration round at ``qnd_theta``: the class of
-    each monitored count and, in class order, each class's action and label."""
+    """The QND probe of a concentration round at ``qnd_theta``, compiled on
+    ``_JOINT`` by ``qnd_measure``'s rule (b1 + b2 photons): in class order,
+    each class and the getter of its kets, and each class's action and label."""
     classes, class_of = _outcome_classes(qnd_theta, DEFAULT_CUTOFF)
-    return class_of, {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
+    counted = [class_of[occ[1] + occ[3]] for occ in _JOINT]
+    groups = [(c, _slots(tuple(i for i, k in enumerate(counted) if k == c))) for c in classes]
+    return tuple(groups), {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
 
 
-def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float):
+def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float, unit=True):
     """Each branch of a round on two copies in record order: per class of
-    positive weight of their joint kets, read by ``qnd_measure``'s rule, the
+    positive weight of their joint kets, read by ``_probe``'s groups, the
     class, its verdict (action and label, a herald record) and weight; for a
-    kept click (detector, weight), else None; post-register, kets renormalized."""
+    kept click (detector, weight), else None; post-register, kets (keys and
+    amplitudes) renormalized, a kept click's only with ``unit``."""
     _check_copies(pair1, pair2)
     modes = pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b
     register, station = _station("concentration", modes)
-    class_of, verdicts = _probe(qnd_theta)
-    joint = _kept(_product(pair1._kets(), pair2._kets()))
-    seen = _partition(joint, lambda occ: class_of[occ[1] + occ[3]])  # b1 + b2
-    for cls in filter(seen.__contains__, verdicts):  # in class order
-        (action, label), (prob, kets) = verdicts[cls], seen[cls]
+    groups, verdicts = _probe(qnd_theta)
+    joint = _joint(pair1, pair2)
+    for cls, getter in groups:  # in class order
+        keys, amps = _nonzero(getter(_JOINT), getter(joint))
+        prob, amps = _unit(amps)
+        if not prob > 0.0:
+            continue
+        (action, label), kets = verdicts[cls], (keys, amps)
         if action != KEEP:
             yield cls, action, label, prob, None, register, kets
             continue
-        post_register, clicks = _readout(register, station, kets)
+        post_register, clicks = _readout(register, station, *kets, unit)
         for pattern, fired, weight, post in clicks:
             click = _label(station, fired, pattern), weight
             yield cls, action, label, prob, click, post_register, post
 
 
-def _reduced(kets: dict, names: tuple) -> SingleRailPair:
-    """The pair on modes ``names`` a recyclable class's kets over (a1, b1,
-    a2, b2) reduce to at the concentration station, read from D1's click.
-    a2 feeds the difference port, which lands on D2, so D2's pair, flipped
-    on b1 by ``phase_flip``'s rule, must agree."""
+def _reduced(keys: tuple, amps, names: tuple) -> SingleRailPair:
+    """The pair on modes ``names`` a recyclable class's kets ``keys``,
+    ``amps`` over (a1, b1, a2, b2) reduce to at the concentration station,
+    read from D1's click.  a2 feeds the difference port, which lands on D2,
+    so D2's pair, flipped on b1 by ``phase_flip``'s rule, must agree."""
     register, station = _station("concentration", ("a1", "b1", "a2", "b2"))
     reduced: dict[str, SingleRailPair] = {}
-    for pattern, fired, _, post in _readout(register, station, kets)[1]:
+    for pattern, fired, _, (ks, vs) in _readout(register, station, keys, amps)[1]:
         label = _label(station, fired, pattern)
-        reduced[label] = _pair_of(_flipped(post, 1) if label == "D2" else post, names)
+        reduced[label] = _pair_of(ks, _flipped(ks, vs, 1) if label == "D2" else vs, names)
     if set(reduced) != {"D1", "D2"}:
         raise ContractError(f"expected both detector branches, got {set(reduced)!r}")
     if not reduced["D1"].close_to(reduced["D2"]):
@@ -474,7 +498,7 @@ def concentration_round(
             events += (HeraldEvent("detector", det, weight),)
             prob *= weight
         herald = Herald(events, cls, det, det == "D2", det and pair1.mode_b)
-        state = FockState._of(register, kets)
+        state = FockState._of(register, dict(zip(*kets)))
         results.append(ProtocolResult(_TAGS[action], herald, prob, state))
     return results
 
@@ -497,7 +521,7 @@ def recyclable_to_pair(result: ProtocolResult) -> SingleRailPair:
     state = result.state
     if state is None or len(state.register) != 4:
         raise ContractError("recyclable branch must carry a four-mode state")
-    return _reduced(state.terms, state.register.names[:2])
+    return _reduced(tuple(state.terms), tuple(state.terms.values()), state.register.names[:2])
 
 
 # -- iteration and sampling --------------------------------------------------------
@@ -559,12 +583,12 @@ def iterate_concentration(
         branches, recycled = [], None
         if current:  # a round with no input pair is the same round at zero weight
             copies = current.with_modes("a1", "b1"), current.with_modes("a2", "b2")
-            for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta):
+            for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta, False):
                 if click:
                     label, weight = click
                     prob *= weight
                 elif action == RECYCLE:
-                    recycled = _reduced(kets, (current.mode_a, current.mode_b))
+                    recycled = _reduced(*kets, (current.mode_a, current.mode_b))
                 branches.append((label, prob, action))
         p_success = math.fsum(p for _, p, action in branches if action == KEEP)
         p_recycle = math.fsum(p for _, p, action in branches if action == RECYCLE)

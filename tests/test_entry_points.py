@@ -467,6 +467,38 @@ class TestCutoffPastTheCap:
             QndConfig(("b",), math.pi).outcome_classes(cutoff)
 
 
+class TestOracleSizePastTheCap:
+    # the Fraction oracle's numbers reach about b * 2**n bits from a start
+    # weight of b bits, and its time follows that size, not the round count:
+    # past the cap it is refused before any arithmetic, where 1e-300 over
+    # 16 rounds would run for hours
+    @staticmethod
+    def _predicted(alpha_sq: float, rounds: int) -> int:
+        x = Fraction(make_pair(alpha_sq).alpha) ** 2
+        x /= x + Fraction(make_pair(alpha_sq).beta.real) ** 2
+        return max(x.numerator.bit_length(), x.denominator.bit_length()) << rounds
+
+    def test_the_largest_reference_sits_at_the_cap(self):
+        # test_edges_bit_equal's reference, 1e-300 over 10 rounds
+        assert self._predicted(1e-300, 10) == fock.MAX_ORACLE_BITS
+
+    @pytest.mark.parametrize(
+        "alpha_sq, rounds",
+        [(2.5e-301, 10), (1e-300, 11), (1e-300, fock.MAX_ORACLE_ROUNDS), (5e-324, 11)],
+    )
+    def test_one_past_the_cap_is_refused_fast(self, alpha_sq, rounds):
+        # 2.5e-301 is the next start weight past 1e-300's: 1105 bits for 1103
+        assert self._predicted(alpha_sq, rounds) > fock.MAX_ORACLE_BITS
+        pair = make_pair(alpha_sq)
+        with _within(2.0), pytest.raises(CapacityError, match=r"would reach \d+ bits"):
+            yield_oracle(pair.alpha, pair.beta, rounds)
+
+    def test_compare_yield_keeps_its_round_cap_only(self):
+        pair = make_pair(1e-300)
+        with _within(2.0):
+            assert len(compare_yield(pair.alpha, pair.beta, fock.MAX_ORACLE_ROUNDS).terms) == 16
+
+
 class TestRealsAndAmplitudes:
     @pytest.mark.parametrize("value", [*NOT_NUMBERS, pytest.param(1j, id="1j")])
     @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))

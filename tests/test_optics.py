@@ -21,7 +21,7 @@ from singlerail import (
     vacuum,
 )
 from singlerail.fock import MAX_CUTOFF, NORM_TOL
-from singlerail.optics import _outputs
+from singlerail.optics import _readout_groups, _run, _slot_plan
 from conftest import SCALES, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -363,9 +363,20 @@ class TestPhaseFlip:
             assert phase_flip(s, "a").norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
+def _kept_outputs(kernel, kets) -> dict:
+    """A kernel's outputs on ``kets`` by its keys, exact zeros dropped."""
+    return {k: a for k, a in zip(kernel[-1], _run(kernel, tuple(kets.values()))) if a}
+
+
+def _feeding(kernel, n) -> tuple:
+    """The positions of the ``n`` input kets whose amplitudes a kernel reads."""
+    divs, _, adds, *_ = kernel
+    return tuple(sorted({i for i, *_ in divs} | {s for s, _ in adds if s < n}))
+
+
 class TestReplayOfOneReadoutEntry:
-    """``_outputs`` with a readout entry replays only the kets its slot plan
-    records as feeding that entry's members."""
+    """A readout entry's kernel replays only the kets its slot plan records
+    as feeding that entry's members, and equals the full kernel."""
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_each_entry_equals_the_full_replay_bit_for_bit(self, rng, scale):
@@ -376,11 +387,13 @@ class TestReplayOfOneReadoutEntry:
             kets = {o: a * scale for o, a in state.terms.items() if rng.random() < 0.7}
             if not kets:
                 continue
-            (*_, readout, feeds), full = _outputs(reg, bs, kets)
-            assert len(feeds) == len(readout)
-            for entry, (_, _, members) in enumerate(readout):
-                _, one = _outputs(reg, bs, kets, entry)
-                wanted = {o: full[o] for o, _ in members if o in full}
+            out_reg, every, _, entries = _slot_plan(reg, bs, tuple(kets))
+            full = _kept_outputs(every, kets)
+            _, readout = _readout_groups(out_reg, bs.out_modes, every[-1])
+            assert len(entries) == len(readout)
+            for (_, _, kernel), (_, _, members) in zip(entries, readout):
+                one = _kept_outputs(kernel, kets)
+                wanted = {k: full[o] for o, k in members if o in full}
                 assert repr(one) == repr(wanted)
 
     def test_the_feeding_set_follows_the_support(self):
@@ -392,13 +405,14 @@ class TestReplayOfOneReadoutEntry:
         full = {(1, 0, 1, 0): 0.5, (1, 0, 0, 1): 0.5, (0, 1, 1, 0): 0.5, (0, 1, 0, 1): 0.5}
         outer = {(1, 0, 1, 0): 0.6, (0, 1, 0, 1): 0.8}
         for kets, feeding in ((full, (0, 3)), (outer, (0, 1))):
-            (*_, readout, feeds), _ = _outputs(reg, bs, kets)
-            assert readout[0][1] == "b" and feeds[0][0] == feeding
+            _, fired, kernel = _slot_plan(reg, bs, tuple(kets))[-1][0]
+            assert fired == "b" and _feeding(kernel, len(kets)) == feeding
 
 
-def _layer_loops() -> set[str]:
+def _program_loops() -> set[str]:
     """The defs of the package holding a loop, or a comprehension, over a
-    transfer program's ``layers`` or a layer's ``ops``, by qualified name."""
+    transfer program's or a kernel's ``ops`` (or ``layers``), by qualified
+    name."""
     found = set()
     for path in pathlib.Path(singlerail.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -407,11 +421,13 @@ def _layer_loops() -> set[str]:
                 continue
             for node in ast.walk(fn):
                 loop = getattr(node, "iter", None)
-                if isinstance(loop, ast.Name) and loop.id in ("layers", "ops"):
+                names = {n.id for n in ast.walk(loop) if isinstance(n, ast.Name)} if loop else set()
+                if names & {"layers", "ops"}:
                     found.add(f"{path.stem}.{fn.name}")
     return found
 
 
-def test_only_outputs_replays_a_transfer_program():
-    # one replay loop: a second copy would fork the expansion's arithmetic
-    assert _layer_loops() == {"optics._outputs"}
+def test_one_site_compiles_and_one_loop_replays_a_transfer_program():
+    # one compile site and one replay loop: a second copy would fork the
+    # expansion's arithmetic
+    assert _program_loops() == {"optics._kernel", "optics._run"}

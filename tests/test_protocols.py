@@ -37,7 +37,7 @@ from singlerail import (
     swap,
     swap_chain_trace,
 )
-from singlerail import optics, protocols
+from singlerail import protocols
 from singlerail.protocols import IterationLedger, RoundEntry, _class_label, _station
 from conftest import make_pair
 
@@ -296,17 +296,16 @@ class TestSwapChainIsTheD1BranchOfSwap:
         assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, depth)))
 
     def test_a_readout_without_d1_is_a_contract_error(self, monkeypatch):
-        # the chain replays only the first readout entry's feeding kets; if
-        # that entry is not D1's click, no other pair may be read instead
+        # the chain runs only the first readout entry's kernel; if that entry
+        # is not D1's click, no other pair may be read instead
         d1 = _station("swap", ("a", "b", "c", "d"))[1].out_modes[0]
-        plan = optics._slot_plan
+        plan = protocols._slot_plan
 
         def without_d1(*args):
-            *head, readout, feeds = plan(*args)
-            kept = [i for i, (_, fired, _) in enumerate(readout) if fired != d1]
-            return (*head, tuple(readout[i] for i in kept), tuple(feeds[i] for i in kept))
+            *head, entries = plan(*args)
+            return (*head, tuple(e for e in entries if e[1] != d1))
 
-        monkeypatch.setattr(optics, "_slot_plan", without_d1)
+        monkeypatch.setattr(protocols, "_slot_plan", without_d1)
         with pytest.raises(ContractError, match=r"read \(0, 1\), not D1's click"):
             swap_chain_trace(make_pair(0.3, theta=0.3), 3)
 
@@ -325,16 +324,19 @@ class TestSwapChainIsTheD1BranchOfSwap:
 
     @pytest.mark.parametrize("dropped", ["D1", "every outcome"])
     def test_a_step_without_d1_is_a_contract_error(self, monkeypatch, dropped):
-        # the chain reads the first weighed outcome; it must be D1's click,
-        # never a D2 pair, and a readout with no outcome is no StopIteration
-        d1 = _station("swap", ("a", "b", "c", "d"))[1].out_modes[0]
-        weighed = protocols._weighed
+        # the chain reads D1's kernel; if D1's click weighs nothing, it must
+        # never read a D2 pair instead, and a readout whose every outcome
+        # weighs nothing is no ZeroDivisionError
+        register, station = _station("swap", ("a", "b", "c", "d"))
+        entries = protocols._slot_plan(register, station, protocols._JOINT)[-1]
+        d1 = {kernel for _, fired, kernel in entries if fired == station.out_modes[0]}
+        run = protocols._run
 
-        def without_d1(readout, kets):
-            kept = (o for o in weighed(readout, kets) if o[1] != d1)
-            return kept if dropped == "D1" else iter(())
+        def without_d1(kernel, amps):
+            out = run(kernel, amps)
+            return [0j] * len(out) if dropped != "D1" or kernel in d1 else out
 
-        monkeypatch.setattr(protocols, "_weighed", without_d1)
+        monkeypatch.setattr(protocols, "_run", without_d1)
         with pytest.raises(ContractError):
             swap_chain_trace(make_pair(0.3, theta=0.3), 3)
 
@@ -844,10 +846,10 @@ WALK_REFERENCES = {
     "_round": {"iterate_concentration", "concentration_round"},
     "_reduced": {"iterate_concentration", "recyclable_to_pair"},
     "iterate_concentration": {"run_monte_carlo"},
-    "_partition": {"_round"},
     "_flipped": {"_reduced"},
-    # the stations renormalize only through the instruments' readouts
-    "_renormalized": set(),
+    # the stations renormalize only by the instruments' rule, ``_unit``,
+    # which ``FockState.partition`` and ``detect_single_photon`` run too
+    "_unit": {"_readout", "_swap_chain", "_round"},
 }
 
 
@@ -975,3 +977,138 @@ class TestStationModesMayLookLikeDetectors:
             register, station = _station(step, modes)
             assert register.names == modes
             assert station.out_modes == station.in_modes == meet
+
+
+def _layered_program(n0, n1, c0, c1):
+    """The transfer program as the layer loop read it: the divisor, one
+    layer per creation operator of (source, destination, coefficient,
+    ladder) ops over the polynomial, and the output occupations."""
+    keys, layers = ((0, 0),), []
+    for cu, cv in (c0,) * n0 + (c1,) * n1:
+        raised, ops = {}, []
+        for src, (mu, mv) in enumerate(keys):
+            for key, c, n in (((mu + 1, mv), cu, mu), ((mu, mv + 1), cv, mv)):
+                dst = raised.setdefault(key, len(raised))
+                ops.append((src, dst, c, math.sqrt(n + 1)))
+        keys = tuple(raised)
+        layers.append((len(keys), tuple(ops)))
+    return math.sqrt(math.factorial(n0) * math.factorial(n1)), tuple(layers), keys
+
+
+def _layer_loop(state, bs):
+    """``bs`` on ``state`` replayed layer by layer, every sum started at 0j
+    and exact zeros dropped: the reference the compiled kernels replace."""
+    reg = state.register
+    i0, i1 = reg.indices(bs.in_modes)
+    c0, c1 = bs.coefficients(bs.in_modes[0]), bs.coefficients(bs.in_modes[1])
+    names = list(reg.names)
+    names[i0], names[i1] = bs.out_modes
+    slots, out = {}, []
+    for occ, amp in state.terms.items():
+        n0, n1 = occ[i0], occ[i1]
+        poly, keys = [amp], [(n0, n1)]
+        if n0 or n1:
+            divisor, layers, keys = _layered_program(n0, n1, c0, c1)
+            poly = [amp / divisor]
+            for width, ops in layers:
+                raised = [0j] * width
+                for src, dst, c, ladder in ops:
+                    raised[dst] += poly[src] * c * ladder
+                poly = raised
+        lifted = list(occ)
+        for (lifted[i0], lifted[i1]), a in zip(keys, poly):
+            slot = slots.setdefault(tuple(lifted), len(slots))
+            out += [0j] * (slot + 1 - len(out))
+            out[slot] += a
+    return FockState(ModeRegister(names, reg.cutoff), {o: a for o, a in zip(slots, out) if a})
+
+
+def _read_pair(outcome):
+    """The pair ``from_coefficients`` makes of a click's |10> and |01> kets."""
+    kets = outcome.post_state.terms
+    return SingleRailPair.from_coefficients(kets.get((1, 0)) or 0j, kets.get((0, 1)) or 0j)
+
+
+_ALPHA_SQ = st.one_of(st.floats(1e-300, 0.99), st.sampled_from([1e-300, 0.7, 0.99]))
+
+
+class TestKernelsReplayTheLayerLoop:
+    """The compiled kernels of a chain step and of a concentration round
+    give the layer loop's bits, -0.0 included, on every support a run
+    meets: at alpha_sq 0.99 and 1e-300 the smaller amplitude underflows to
+    zero mid-chain and the joint kets lose a ket (at 0.7 only its square)."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @example(alpha_sq=1e-300, theta_ab=math.pi, depth=1500)
+    @example(alpha_sq=0.7, theta_ab=0.0, depth=1500)
+    @example(alpha_sq=0.99, theta_ab=3.0, depth=1500)
+    @given(alpha_sq=_ALPHA_SQ, theta_ab=st.floats(0.0, math.pi), depth=st.integers(1, 1500))
+    def test_a_chain_step(self, alpha_sq, theta_ab, depth):
+        pair = make_pair(alpha_sq, theta=theta_ab)
+        station = _station("swap", ("a", "b", "c", "d"))[1]
+        link, current, want = pair.with_modes("c", "d").to_state(), pair, []
+        for _ in range(depth):
+            joint = current.to_state().tensor(link)
+            first = detect_single_photon(_layer_loop(joint, station), station.out_modes)[0]
+            assert first.fired == station.out_modes[0]
+            current = _read_pair(first)
+            want.append(_bits(current))
+        assert list(map(_bits, swap_chain_trace(pair, depth))) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @example(alpha_sq=1e-300, theta_ab=0.0, qnd_theta=math.pi)
+    @example(alpha_sq=0.99, theta_ab=math.pi, qnd_theta=1.0)
+    @given(alpha_sq=_ALPHA_SQ, theta_ab=st.floats(0.0, math.pi), qnd_theta=st.sampled_from([math.pi, 1.0]))
+    def test_a_concentration_round(self, alpha_sq, theta_ab, qnd_theta):
+        pair = make_pair(alpha_sq, theta=theta_ab)
+        p1, p2 = pair.with_modes("a1", "b1"), pair.with_modes("a2", "b2")
+        station = _station("concentration", ("a1", "b1", "a2", "b2"))[1]
+        probe = qnd_measure(p1.to_state().tensor(p2.to_state()), QndConfig(("b1", "b2"), qnd_theta))
+        branches, kept, recycled = [], [], []
+        for o in probe:
+            action = herald_action(o.outcome_class)
+            if action == "discard":
+                branches.append((_class_label(o.outcome_class), repr(o.probability), action))
+                continue
+            replayed = _layer_loop(o.post_state, station)
+            assert _terms(apply_beam_splitter(o.post_state, station)) == _terms(replayed)
+            clicks = detect_single_photon(replayed, station.out_modes)
+            labels = ["D1" if c.fired == station.out_modes[0] else "D2" for c in clicks]
+            if action == "recycle":
+                branches.append((_class_label(o.outcome_class), repr(o.probability), action))
+                recycled.append(_bits(_read_pair(clicks[labels.index("D1")])))
+                continue
+            for label, c in zip(labels, clicks):
+                branches.append((label, repr(o.probability * c.probability), action))
+                kept.append((label, repr(c.probability), _terms(c.post_state)))
+        records = concentration_round(p1, p2, qnd_theta)
+        assert [
+            (r.herald.detector, repr(r.herald.events[1].probability), _terms(r.state))
+            for r in records
+            if r.tag is Tag.SUCCESS
+        ] == kept
+        got = [_bits(recyclable_to_pair(r)) for r in records if r.tag is Tag.RECYCLABLE]
+        assert [g[:2] for g in got] == [w[:2] for w in recycled]
+        (entry, *_) = iterate_concentration(pair, 2, qnd_theta).entries
+        assert [(label, repr(p), a) for label, p, a in entry.branches] == branches
+        walked = [_bits(entry.recycled_pair)[:2]] if entry.recycled_pair else []
+        assert walked == [w[:2] for w in recycled]
+
+    @pytest.mark.parametrize("step", ["swap", "concentration"])
+    @pytest.mark.parametrize("occ", [(0, 1, 1, 0), (0, 0, 1, 1), (0, 2, 0, 0), (1, 0, 1, 0)])
+    def test_signed_zeros_at_each_station(self, step, occ):
+        # a ket with a -0.0 part next to a one-photon ket, through every
+        # readout entry's kernel and through the full kernel
+        register, station = _station(step, ("a1", "b1", "a2", "b2"))
+        signed = (1.0, -1.0, 1j, -1j, complex(-0.0, 0.6), complex(0.8, -0.0), complex(-0.8, -0.0))
+        for amp in signed:
+            state = FockState(register, {occ: amp, (0, 1, 0, 0): complex(-0.0, -0.5)})
+            replayed = _layer_loop(state, station)
+            assert _terms(apply_beam_splitter(state, station)) == _terms(replayed)
+            kets = tuple(state.terms), tuple(state.terms.values())
+            got = [
+                (p, fired, repr(w), repr(list(zip(*post))))
+                for p, fired, w, post in protocols._readout(register, station, *kets)[1]
+            ]
+            want = detect_single_photon(replayed, station.out_modes)
+            assert got == [(o.pattern, o.fired, repr(o.probability), _terms(o.post_state)) for o in want]

@@ -202,10 +202,11 @@ def _station_bits(state: FockState, step: str) -> tuple[list, list]:
     ``detect_single_photon``, both as ``_outcome_bits``."""
     _, station = _station(step, state.register.names)
     plain = detect_single_photon(apply_beam_splitter(state, station), station.out_modes)
-    post_register, outcomes = _readout(state.register, station, state.terms)
+    kets = tuple(state.terms), tuple(state.terms.values())
+    post_register, outcomes = _readout(state.register, station, *kets)
     got = [
-        DetectionOutcome(fired, p, w, FockState._of(post_register, kets), sum(p) >= 2)
-        for p, fired, w, kets in outcomes
+        DetectionOutcome(fired, p, w, FockState._of(post_register, dict(zip(*post))), sum(p) >= 2)
+        for p, fired, w, post in outcomes
     ]
     return list(map(_outcome_bits, got)), list(map(_outcome_bits, plain))
 
@@ -243,13 +244,13 @@ class TestStationReadoutOnTheSlotPlan:
         _, station = _station("swap", REG.names)
         s = FockState(REG, {(0, 1, 0, 0): 1.7e308, (0, 0, 1, 0): 1.7e308})
         with pytest.raises(ConfigError, match="non-finite"):
-            _readout(s.register, station, s.terms)
+            _readout(s.register, station, tuple(s.terms), tuple(s.terms.values()))
 
     def test_overflowing_square_is_a_config_error(self):
         _, station = _station("concentration", REG.names)
         s = FockState(REG, {(0, 0, 1, 0): 1e200, (1, 0, 0, 0): 1e-200})
         with pytest.raises(ConfigError, match="overflows"):
-            _readout(s.register, station, s.terms)
+            _readout(s.register, station, tuple(s.terms), tuple(s.terms.values()))
 
 
 class TestPlanCachesAreBounded:
