@@ -53,11 +53,13 @@ def _balance_ratio(x: float, y: float, power: int) -> float:
 
 
 def _moduli(alpha: complex, beta: complex) -> list[float]:
-    """|alpha| and |beta|, read alike for the closed form and the oracle:
-    finite amplitudes whose squares, summed, fit a float (``fock._weight``)."""
+    """|alpha| and |beta|, not both 0, read alike for the closed form and the
+    oracle: finite amplitudes whose squares, summed, fit a float (``fock._weight``)."""
     amps = _amplitude(alpha, "alpha"), _amplitude(beta, "beta")
     if not math.isfinite(_weight(amps)):
         raise ConfigError(f"alpha, beta must be finite numbers: {alpha!r}, {beta!r}")
+    if not any(amps):
+        raise ConfigError("alpha and beta cannot both vanish")
     return [abs(a) for a in amps]
 
 
@@ -138,8 +140,6 @@ def _oracle_weight(alpha: complex, beta: complex, n_rounds: int) -> tuple:
         )
     moduli = _moduli(alpha, beta)
     a_sq, b_sq = (Fraction(m) ** 2 for m in moduli)
-    if a_sq + b_sq == 0:
-        raise ConfigError("alpha and beta cannot both vanish")
     return n_rounds, a_sq / (a_sq + b_sq), [m**2 for m in moduli]
 
 

@@ -155,13 +155,13 @@ def _weight(amps: Iterable[complex]) -> float:
         raise ConfigError("|amplitude| past ~1.34e154: its square overflows") from None
 
 
-def _unit(amps: Iterable[complex], unit: bool = True) -> tuple[float, list]:
-    """The weight of ``amps`` and, when it is positive and ``unit`` holds,
-    ``amps`` at unit norm; a non-finite amplitude is a ``ConfigError``."""
+def _unit(amps: Iterable[complex]) -> tuple[float, list]:
+    """The weight of ``amps`` and, when it is positive, ``amps`` at unit
+    norm; a non-finite amplitude is a ``ConfigError``."""
     prob = _weight(amps)
     if not math.isfinite(prob):
         raise ConfigError(f"non-finite amplitude: the weight reads {prob!r}")
-    if unit and prob > 0.0:
+    if prob > 0.0:
         scale = 1.0 / math.sqrt(prob)
         amps = [a * scale for a in amps]
     return prob, amps
@@ -211,10 +211,6 @@ class ModeRegister:
 
     def indices(self, names: Iterable[ModeId]) -> tuple[int, ...]:
         return tuple(self.index(n) for n in _names(names, "indexed modes"))
-
-    def same_modes(self, other: "ModeRegister") -> bool:
-        """True when both registers hold the same mode names (any order)."""
-        return set(self.names) == set(other.names)
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
@@ -374,7 +370,7 @@ class FockState:
         """Express this state over ``register``'s mode order (same name set)."""
         if register == self.register:
             return self
-        if not self.register.same_modes(register):
+        if set(self.register.names) != set(register.names):
             raise RegisterError(
                 f"register mismatch: {self.register!r} vs {register!r}"
             )
@@ -399,21 +395,6 @@ class FockState:
         return abs(self.overlap(target)) ** 2
 
     # -- register surgery -----------------------------------------------------
-
-    def relabel(self, mapping: Mapping[ModeId, ModeId]) -> "FockState":
-        """Rename modes in place; ``mapping``, a ``Mapping``, must stay a bijection.
-
-        Keys not present in the register are rejected; names missing from
-        the mapping keep their old label.  Amplitudes are untouched.
-        """
-        if not isinstance(mapping, Mapping):
-            raise ConfigError(
-                f"relabel mapping must be a Mapping, got {_shown(mapping)}"
-            )
-        for old in mapping:
-            self.register.index(old)  # raises RegisterError on unknown names
-        names = (mapping.get(n, n) for n in self.register.names)
-        return FockState._of(ModeRegister(names, self.register.cutoff), self.terms)
 
     def without_modes(self, modes: Iterable[ModeId]) -> "FockState":
         """Drop modes that sit in one definite Fock level across all terms.

@@ -100,8 +100,8 @@ def _kernel(steps: tuple, n: int, wanted: tuple, keys: tuple) -> tuple:
 
 def _run(kernel: tuple, amps: tuple) -> list:
     """``kernel`` on the amplitudes of its input kets: its outputs, in its
-    keys' order.  Every op of the expansion runs, ÷1.0 and ×1.0 too (complex
-    arithmetic flips the sign of a zero), and every sum starts at 0j."""
+    keys' order.  It replays the layered expansion op for op, ÷1.0 and ×1.0
+    too; every sum starts at 0j, so no fold could flip an output zero's sign."""
     divs, ops, adds, zeros, keys = kernel
     buf = [*amps, *zeros]
     for i, divisor, dst in divs:
@@ -245,10 +245,6 @@ class DetectionOutcome:
     probability: float
     post_state: FockState
     flagged: bool
-
-    @property
-    def photons_seen(self) -> int:
-        return sum(self.pattern)
 
 
 def detect_single_photon(

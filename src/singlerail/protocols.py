@@ -112,13 +112,11 @@ class SingleRailPair:
         _names((self.mode_a, self.mode_b), "pair modes")
         if self.mode_a == self.mode_b:
             raise RegisterError(f"pair modes must differ, got {self.mode_a!r} twice")
-        # the package's own pairs hold a float and a complex: no reader runs
-        if type(self.alpha) is not float or type(self.beta) is not complex:
-            alpha = _amplitude(self.alpha, "alpha")
-            object.__setattr__(self, "beta", _amplitude(self.beta, "beta"))
-            if alpha.imag:
-                raise ContractError("alpha must be real in canonical form")
-            object.__setattr__(self, "alpha", alpha.real)
+        alpha = _amplitude(self.alpha, "alpha")
+        object.__setattr__(self, "beta", _amplitude(self.beta, "beta"))
+        if alpha.imag:
+            raise ContractError("alpha must be real in canonical form")
+        object.__setattr__(self, "alpha", alpha.real)
         if self.alpha < 0.0:
             raise ContractError("alpha must be non-negative in canonical form")
         try:
@@ -326,14 +324,14 @@ def _joint(pair1: SingleRailPair, pair2: SingleRailPair) -> tuple:
     return a1 * a2, a1 * b2, b1 * a2, b1 * b2
 
 
-def _readout(register: ModeRegister, station: BeamSplitter, keys, amps, unit=True) -> tuple:
+def _readout(register: ModeRegister, station: BeamSplitter, keys, amps) -> tuple:
     """The station's post-register and, from each readout entry's kernel on
     kets ``keys``, ``amps``, per outcome of positive weight (pattern, fired,
-    weight, kets as keys and amplitudes, at unit norm with ``unit``)."""
+    weight, kets as keys and amplitudes at unit norm)."""
     *_, post_register, entries = _slot_plan(register, station, keys)
     outcomes = []
     for pattern, fired, kernel in entries:
-        prob, post = _unit(_run(kernel, amps), unit)
+        prob, post = _unit(_run(kernel, amps))
         if prob > 0.0:
             outcomes.append((pattern, fired, prob, (kernel[-1], post)))
     return post_register, outcomes
@@ -427,12 +425,12 @@ def _probe(qnd_theta: float) -> tuple:
     return tuple(groups), {cls: (herald_action(cls), _class_label(cls)) for cls in classes}
 
 
-def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float, unit=True):
+def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float):
     """Each branch of a round on two copies in record order: per class of
     positive weight of their joint kets, read by ``_probe``'s groups, the
     class, its verdict (action and label, a herald record) and weight; for a
     kept click (detector, weight), else None; post-register, kets (keys and
-    amplitudes) renormalized, a kept click's only with ``unit``."""
+    amplitudes) renormalized."""
     _check_copies(pair1, pair2)
     modes = pair1.mode_a, pair1.mode_b, pair2.mode_a, pair2.mode_b
     register, station = _station("concentration", modes)
@@ -447,7 +445,7 @@ def _round(pair1: SingleRailPair, pair2: SingleRailPair, qnd_theta: float, unit=
         if action != KEEP:
             yield cls, action, label, prob, None, register, kets
             continue
-        post_register, clicks = _readout(register, station, *kets, unit)
+        post_register, clicks = _readout(register, station, *kets)
         for pattern, fired, weight, post in clicks:
             click = _label(station, fired, pattern), weight
             yield cls, action, label, prob, click, post_register, post
@@ -583,7 +581,7 @@ def iterate_concentration(
         branches, recycled = [], None
         if current:  # a round with no input pair is the same round at zero weight
             copies = current.with_modes("a1", "b1"), current.with_modes("a2", "b2")
-            for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta, False):
+            for _, action, label, prob, click, _, kets in _round(*copies, qnd_theta):
                 if click:
                     label, weight = click
                     prob *= weight
@@ -668,7 +666,7 @@ def run_monte_carlo(
     probs = np.array([p for *_, p in branches], dtype=float)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"branch probabilities sum to {total!r}, not 1")
+        raise ContractError(f"branch probabilities sum to {float(total)!r}, not 1")
     # the last branch takes every draw past the interior edges
     edges = np.cumsum(probs / total)[:-1]
     counts = count_draws(np.random.default_rng(seed), trials, edges)

@@ -108,12 +108,15 @@ class TestYieldOracle:
         ],
     )
     def test_domain_shared_with_compare_yield(self, args, error):
+        fns = (yield_oracle, compare_yield)
+        if args[:2] == (0.0, 0.0):  # the closed form refuses it alike
+            fns += (yield_term, yield_series)
         messages = []
-        for fn in (yield_oracle, compare_yield):
+        for fn in fns:
             with pytest.raises(error) as excinfo:
                 fn(*args)
             messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
 
     def test_round_count_too_long_for_str_is_named_by_length(self):
         with pytest.raises(CapacityError, match="got a positive integer of ~5000 digits"):

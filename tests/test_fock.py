@@ -58,8 +58,10 @@ class TestModeRegister:
         assert ModeRegister(("a", "b")) != ModeRegister(("b", "a"))
         assert ModeRegister(("a", "b")) != ModeRegister(("a", "b"), cutoff=3)
 
-    def test_same_modes_ignores_order(self):
-        assert ModeRegister(("a", "b")).same_modes(ModeRegister(("b", "a")))
+    def test_equality_with_what_is_not_a_register_is_not_implemented(self):
+        reg = ModeRegister(("a", "b"))
+        assert reg.__eq__(("a", "b")) is NotImplemented
+        assert reg != ("a", "b")
 
 
 class TestFockStateConstruction:
@@ -254,6 +256,10 @@ class TestNormalizeAndCompose:
         s = superpose([(1.0, single_photon(reg, "a")), (1.0, single_photon(reg, "b"))])
         assert s.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2))
 
+    def test_superpose_needs_an_addend(self):
+        with pytest.raises(ConfigError, match="superpose needs at least one addend"):
+            superpose([])
+
     def test_superpose_cancellation_is_degenerate(self):
         reg = ModeRegister(("a",))
         one = single_photon(reg, "a")
@@ -319,33 +325,6 @@ class TestRegisterSurgery:
         s = vacuum(ModeRegister(("a", "b")))
         with pytest.raises(RegisterError):
             s.align_to(ModeRegister(("a", "c")))
-
-    def test_relabel_is_positional(self):
-        s = FockState(ModeRegister(("a", "b")), {(1, 0): 1.0})
-        t = s.relabel({"a": "x"})
-        assert t.register.names == ("x", "b")
-        assert t.amplitude((1, 0)) == 1.0
-
-    def test_relabel_rejects_collision(self):
-        s = vacuum(ModeRegister(("a", "b")))
-        with pytest.raises(RegisterError):
-            s.relabel({"a": "b"})
-
-    def test_relabel_rejects_unknown(self):
-        s = vacuum(ModeRegister(("a",)))
-        with pytest.raises(RegisterError):
-            s.relabel({"q": "x"})
-
-    @pytest.mark.parametrize("mapping", ["ab", ["a"], ("a", "x"), None])
-    def test_relabel_refuses_what_is_not_a_mapping(self, mapping):
-        s = vacuum(ModeRegister(("a", "b")))
-        with pytest.raises(ConfigError, match="relabel mapping must be a Mapping"):
-            s.relabel(mapping)
-
-    def test_relabel_to_a_name_that_is_not_a_string_is_refused(self):
-        s = vacuum(ModeRegister(("a", "b")))
-        with pytest.raises(ConfigError, match="register modes must be str mode names, got 5"):
-            s.relabel({"a": 5})
 
     def test_without_modes_drops_definite_mode(self):
         reg = ModeRegister(("a", "b"))

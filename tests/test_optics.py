@@ -49,6 +49,11 @@ class TestBeamSplitterConstruction:
         assert bs.coefficients("a") == (pytest.approx(INV_SQRT2), pytest.approx(INV_SQRT2))
         assert bs.coefficients("b") == (pytest.approx(INV_SQRT2), pytest.approx(-INV_SQRT2))
 
+    def test_coefficients_of_a_mode_that_is_not_an_input(self):
+        bs = BeamSplitter(("a", "b"), ("c", "d"), minus_input="b")
+        with pytest.raises(ConfigError, match="'c' is not an input of this beam splitter"):
+            bs.coefficients("c")
+
 
 class TestSinglePhotonSplit:
     def test_plus_input_splits_symmetrically(self):
@@ -150,6 +155,12 @@ def test_beam_splitter_involution(rng):
 
 
 class TestQnd:
+    def test_monitored_modes_are_nonempty_and_distinct(self):
+        with pytest.raises(ConfigError, match="QND needs at least one monitored mode"):
+            QndConfig((), math.pi)
+        with pytest.raises(ConfigError, match=r"duplicate monitored modes: \('b', 'b'\)"):
+            QndConfig(("b", "b"), math.pi)
+
     def test_parity_theta_groups_zero_and_two(self):
         cfg = QndConfig(("b1", "b2"), math.pi)
         classes = cfg.outcome_classes(2)
@@ -228,7 +239,6 @@ class TestDetection:
         assert {o.pattern for o in flagged} == {(2, 0), (1, 1)}
         for o in flagged:
             assert o.fired is None
-            assert o.photons_seen >= 2
 
     def test_exhaustive_over_random_states(self, rng):
         reg = ModeRegister(("x", "D1", "D2"))

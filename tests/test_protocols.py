@@ -283,14 +283,17 @@ class TestSwapChainIsTheD1BranchOfSwap:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @example(alpha_sq=0.7, theta=3.0, depth=1500)
     @example(alpha_sq=1e-5, theta=0.0, depth=1500)
+    @example(alpha_sq=0.99, theta=0.3, depth=1500)
+    @example(alpha_sq=1e-300, theta=2.0, depth=1500)
     @given(
         alpha_sq=st.floats(1e-5, 0.7),
         theta=st.floats(0.0, 3.0),
         depth=st.integers(1, 1500),
     )
     def test_any_chain_equals_swap_bit_for_bit(self, alpha_sq, theta, depth):
-        # past alpha_sq 0.5 the smaller weight underflows mid-chain, the
-        # support loses kets and each new support brings its own feeding set
+        # at 0.7 only |beta|**2 underflows and all four joint kets stay; at
+        # 1e-5, 0.99 and 1e-300 a weight itself underflows mid-chain, the
+        # support falls to three kets, then two, and each brings its own kernel
         pair = make_pair(alpha_sq, theta=theta)
         chain = swap_chain_trace(pair, depth)
         assert list(map(_bits, chain)) == list(map(_bits, _chain_through_swap(pair, depth)))
@@ -485,6 +488,10 @@ class TestConcentrationRound:
         target = plus_bell("a1", "b1")
         assert res["D2"].corrected_state().fidelity(target) == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_branch_without_a_state_corrects_to_none(self):
+        result = ProtocolResult(Tag.FAILURE, Herald(events=()), 1.0, None)
+        assert result.corrected_state() is None
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         st.floats(min_value=1e-6, max_value=1 - 1e-6),
@@ -531,6 +538,15 @@ class TestRecyclableToPair:
         result = self._recyclable(("a1", "b1", "a2", "b2"), terms)
         with pytest.raises(ContractError, match="expected both detector branches"):
             recyclable_to_pair(result)
+
+    def test_disagreeing_detector_branches_rejected(self, monkeypatch):
+        # unflipped, D2's pair carries -beta**2 where D1's carries +beta**2
+        p = make_pair(0.8)
+        res = concentration_round(p.with_modes("a1", "b1"), p.with_modes("a2", "b2"))
+        rec = next(r for r in res if r.tag is Tag.RECYCLABLE)
+        monkeypatch.setattr(protocols, "_flipped", lambda keys, amps, i: amps)
+        with pytest.raises(ContractError, match="detector branches disagree after sign correction"):
+            recyclable_to_pair(rec)
 
     def test_coefficient_recursion(self):
         # alpha' = alpha^2 / sqrt(alpha^4 + beta^4): 0.8 -> 16/17
@@ -653,6 +669,14 @@ class TestMonteCarlo:
         stats = run_monte_carlo(make_pair(0.8), 100, seed=0)
         assert stats.expected["success"] == pytest.approx(0.32, abs=1e-12)
         assert stats.expected["recyclable"] == pytest.approx(0.68, abs=1e-12)
+
+    def test_a_ledger_whose_branches_miss_one_is_refused(self, monkeypatch):
+        branches = (("D1", 0.5, "keep"), ("0|2", 0.4, "recycle"))
+        entry = RoundEntry(1, None, 0.5, 0.4, None, 0.5, 0.25, 0.25, branches)
+        ledger = IterationLedger(math.pi, (entry,))
+        monkeypatch.setattr(protocols, "iterate_concentration", lambda *args: ledger)
+        with pytest.raises(ContractError, match=r"branch probabilities sum to 0\.9, not 1"):
+            run_monte_carlo(make_pair(0.8), 100)
 
     def test_reports_plain_floats(self):
         stats = run_monte_carlo(make_pair(0.8), 100, seed=3)

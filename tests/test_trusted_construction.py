@@ -57,7 +57,6 @@ def _results(s: FockState):
     yield apply_beam_splitter(s, BeamSplitter(("m0", "m1"), ("o0", "o1"), "m1"))
     yield apply_beam_splitter(s, BeamSplitter(("m1", "m3"), ("m1", "m3"), "m1"))
     yield phase_flip(s, "m0")
-    yield s.relabel({"m0": "x", "m2": "y"})
     yield s.align_to(ModeRegister(("m3", "m1", "m0", "m2")))
     spectator = FockState(ModeRegister(("z",), cutoff=3), {(0,): 0.6 - 0.8j, (1,): 0.5j})
     yield s.tensor(spectator)
