@@ -326,6 +326,16 @@ class TestRegisterSurgery:
         with pytest.raises(RegisterError):
             s.align_to(ModeRegister(("a", "c")))
 
+    def test_align_to_refuses_a_subset_or_superset_of_names(self):
+        s = vacuum(ModeRegister(("a", "b")))
+        for names in (("a",), ("b", "a", "c")):
+            with pytest.raises(RegisterError, match="register mismatch"):
+                s.align_to(ModeRegister(names))
+
+    def test_align_to_its_own_register_is_the_state_itself(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 0.6, (0, 1): 0.8j})
+        assert s.align_to(ModeRegister(("a", "b"))) is s
+
     def test_without_modes_drops_definite_mode(self):
         reg = ModeRegister(("a", "b"))
         s = FockState(reg, {(1, 1): 1.0})
@@ -361,6 +371,14 @@ class TestOverlap:
         t = FockState(reg, {(1,): 1.0})
         assert s.overlap(t) == pytest.approx(1j)
         assert t.overlap(s) == pytest.approx(-1j)
+
+    def test_overlap_reads_the_other_state_in_this_mode_order(self):
+        s = FockState(ModeRegister(("a", "b")), {(1, 0): 0.6, (0, 1): 0.8j})
+        t = FockState(ModeRegister(("b", "a")), {(0, 1): 0.6, (1, 0): 0.8j})
+        assert s.overlap(t) == pytest.approx(1.0)
+        assert s.fidelity(t) == pytest.approx(1.0)
+        with pytest.raises(RegisterError, match="register mismatch"):
+            s.overlap(vacuum(ModeRegister(("a", "c"))))
 
     def test_global_phase_is_preserved_not_canonicalized(self):
         reg = ModeRegister(("a",))
