@@ -294,27 +294,37 @@ def cmd_swap_chain(cfg: RunConfig, summary: dict) -> Iterator:
             }
 
 
-def _yield_table(cfg: RunConfig, summary: dict, header: list[str], walk: bool):
-    """The per-round yield table at the configured probe, ``header`` first.
+#: the columns each yield command prints between ``alpha_sq, round`` and
+#: ``y_cumulative_oracle``; a run that draws ``trials`` adds ``y_mc, y_mc_stderr``
+_YIELD_COLUMNS = {
+    "concentrate": ["success_prob", "y_formula", "y_oracle", "formula_check"],
+    "yield": ["y_formula", "y_oracle", "discrepancy", "formula_check"],
+}
 
-    With ``walk`` every grid point also gets one state-vector walk of the
-    herald tree (``success_prob``), and with ``trials`` the Monte Carlo
-    columns are sampled from that same walk.  Each row carries every
-    column; the header picks the ones a command prints.
+
+def _yield_table(command: str, cfg: RunConfig, summary: dict) -> Iterator:
+    """The per-round yield table of ``command`` at the configured probe.
+
+    The columns decide the work: a grid point gets one state-vector walk
+    of the herald tree only when the table prints ``success_prob``, and
+    the Monte Carlo columns are sampled from that same walk only when it
+    prints ``y_mc``.  Each row carries every column it computed; the
+    header picks the ones the command prints.
     """
+    header = ["alpha_sq", "round", *_YIELD_COLUMNS[command], "y_cumulative_oracle"]
+    if cfg.trials > 0:
+        header += ["y_mc", "y_mc_stderr"]
     _probe(cfg.qnd_theta)  # an angle whose phase overflows is a config error
     summaries = summary["per_alpha"] = []
     yield header
     for x in cfg.alpha_sq:
         pair = _pair(x, cfg.theta_ab)
         ledger = (
-            iterate_concentration(pair, cfg.rounds, cfg.qnd_theta) if walk else None
+            iterate_concentration(pair, cfg.rounds, cfg.qnd_theta)
+            if "success_prob" in header
+            else None
         )
-        mc = (
-            monte_carlo_yield(ledger, cfg.trials, cfg.seed)
-            if ledger is not None and cfg.trials > 0
-            else []
-        )
+        mc = monte_carlo_yield(ledger, cfg.trials, cfg.seed) if "y_mc" in header else []
         report = compare_yield(pair.alpha, pair.beta, cfg.rounds, cfg.qnd_theta)
         cumulative = 0.0
         for i, term in enumerate(report.terms):
@@ -355,34 +365,6 @@ def _yield_table(cfg: RunConfig, summary: dict, header: list[str], walk: bool):
                 "documented_discrepancies": len(report.discrepancies),
             }
         )
-
-
-def cmd_concentrate(cfg: RunConfig, summary: dict) -> Iterator:
-    header = [
-        "alpha_sq",
-        "round",
-        "success_prob",
-        "y_formula",
-        "y_oracle",
-        "formula_check",
-        "y_cumulative_oracle",
-    ]
-    if cfg.trials > 0:
-        header += ["y_mc", "y_mc_stderr"]
-    return _yield_table(cfg, summary, header, walk=True)
-
-
-def cmd_yield(cfg: RunConfig, summary: dict) -> Iterator:
-    header = [
-        "alpha_sq",
-        "round",
-        "y_formula",
-        "y_oracle",
-        "discrepancy",
-        "formula_check",
-        "y_cumulative_oracle",
-    ]
-    return _yield_table(cfg, summary, header, walk=False)
 
 
 # -- output -----------------------------------------------------------------------
@@ -484,8 +466,8 @@ def _parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "generate": cmd_generate,
     "swap-chain": cmd_swap_chain,
-    "concentrate": cmd_concentrate,
-    "yield": cmd_yield,
+    "concentrate": functools.partial(_yield_table, "concentrate"),
+    "yield": functools.partial(_yield_table, "yield"),
 }
 
 

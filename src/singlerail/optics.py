@@ -188,7 +188,6 @@ class QndConfig:
         return list(_outcome_classes(self.theta, cutoff)[0])
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _outcome_classes(theta: float, cutoff: int) -> tuple[tuple, tuple]:
     """The outcome classes of a probe at a finite ``theta`` over counts
     0..cutoff, a count its caller has read, and the class of each count;

@@ -384,7 +384,8 @@ def swap_chain_trace(pair: SingleRailPair, n_swaps: int) -> list[SingleRailPair]
 
 
 def _swap_chain(pair: SingleRailPair, n_swaps: int):
-    """``swap_chain_trace``'s pairs one at a time, for a count already read."""
+    """``swap_chain_trace``'s pairs one at a time, for a count already read.
+    A step runs D1's kernel alone and builds no state, outcome or record."""
     register, station = _station("swap", ("a", "b", "c", "d"))
     names, current, seen = (pair.mode_a, pair.mode_b), pair, None
     for _ in range(n_swaps):

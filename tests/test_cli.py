@@ -588,6 +588,36 @@ def test_concentrate_walks_each_point_round_once(tmp_path, capsys, monkeypatch):
     assert calls == ["_round"] * (3 * 4)
 
 
+def test_the_columns_decide_the_work(tmp_path, capsys, monkeypatch):
+    # a grid point is walked only for a table that prints success_prob, and
+    # sampled, from that walk, only for one that prints y_mc
+    def run(command, trials):
+        cfg = write_config(tmp_path, alpha_sq=[0.2, 0.5, 0.8], rounds=3, trials=trials)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 0, err
+        return out
+
+    cases = [
+        ("concentrate", 0, ["iterate_concentration"] * 3),
+        ("concentrate", 10, ["iterate_concentration", "monte_carlo_yield"] * 3),
+        ("yield", 0, []),
+    ]
+    unwrapped = [run(command, trials) for command, trials, _ in cases]
+    calls = []
+    for name in ("iterate_concentration", "monte_carlo_yield"):
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    for (command, trials, want), out in zip(cases, unwrapped):
+        calls.clear()
+        assert run(command, trials) == out
+        assert calls == want, (command, trials)
+
+
 class TestOutputEncoding:
     def test_csv_json_value_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alpha_sq=[0.5, 0.8], rounds=3)

@@ -40,7 +40,7 @@ from singlerail import (
     swap,
 )
 from singlerail.fock import PLAN_CACHE_SIZE, _readout_plan
-from singlerail.optics import _outcome_classes, _slot_plan
+from singlerail.optics import _slot_plan
 from singlerail.protocols import _probe, _readout, _station
 from conftest import SCALES, all_occupations, random_state
 
@@ -288,7 +288,7 @@ class TestPlanCachesAreBounded:
                 assert plan == _slot_plan.__wrapped__(REG, station, support)
 
     def test_station_caches_stay_within_the_bound(self):
-        caches = (_station, _probe, _outcome_classes)
+        caches = (_station, _probe)
         assert all(c.cache_info().maxsize == PLAN_CACHE_SIZE for c in caches)
         pair = SingleRailPair.from_coefficients(0.6, 0.8j)
         results = set()
@@ -351,6 +351,4 @@ def test_every_lru_cache_in_the_package_is_bounded():
                 assert value.cache_info().maxsize is not None, name
                 assert value.cache_info().maxsize <= PLAN_CACHE_SIZE, name
     # the exact set: a new cache is added here on purpose
-    assert sorted(caches) == sorted(
-        ["_slot_plan", "_outcome_classes", "_station", "_probe", "_parser"]
-    )
+    assert sorted(caches) == sorted(["_slot_plan", "_station", "_probe", "_parser"])
