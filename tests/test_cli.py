@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singlerail
 from decimal import MAX_EMAX, MIN_EMIN, Context
@@ -697,9 +700,114 @@ class TestOutputEncoding:
         assert doc["summary"]["per_alpha"][0]["documented_discrepancies"] == 2
 
 
+def _render_json_per_row(cfg, command, header, rows, summary, out):
+    """The reference: ``render_json`` as one encoder call and one write a row."""
+    config_echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cli.RunConfig)}
+    config_echo["command"] = command
+    head = {"config": {k: cli._jvalue(v) for k, v in config_echo.items()}}
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "rows": [')
+    sep = "\n"
+    for row in rows:
+        text = cli._ROW_ENCODER.encode({key: cli._jvalue(row.get(key)) for key in header})
+        out.write(sep + "    {\n      " + text[1:-1] + "\n    }")
+        sep = ",\n"
+    out.write("]" if sep == "\n" else "\n  ]")
+    out.write("," + json.dumps({"summary": summary}, indent=2)[1:] + "\n")
+
+
+class _Float(float):
+    pass
+
+
+#: a key the row leaves out, so ``row.get`` reads None
+_ABSENT = object()
+_B = cli._JSON_BLOCK
+#: every kind of cell a table builder yields, with the floats and strings
+#: that print oddly: subnormals, -0.0, inf, nan, subclasses of float, and
+#: strings holding braces, commas, quotes, backslashes and newlines
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.floats().map(_Float),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.just(_ABSENT),
+    st.text(),
+    st.text(st.sampled_from(["}", "{", ",", '"', "\\", "\n", " ", ":", "é"])),
+    st.just('x},\n      {"y": 1'),
+)
+
+
 class TestStreamedOutput:
-    """Rows are written as they are built; a run that stops early leaves no
-    partial ``--output`` file and an exit 1 writes no byte anywhere."""
+    """Rows are written a block of ``_JSON_BLOCK`` at a time as they are
+    built; a run that stops early leaves no partial ``--output`` file and
+    an exit 1 writes no byte anywhere."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]),
+        header=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True),
+        cells=st.lists(_CELLS, min_size=1, max_size=40),
+    )
+    def test_block_edges_leave_no_trace_in_the_bytes(self, n, header, cells):
+        # cells cycle through the rows, so every kind lands on both sides of an edge
+        it = iter(cells * (n * len(header) // len(cells) + 1))
+        rows = [{k: c for k, c in zip(header, it) if c is not _ABSENT} for _ in range(n)]
+        cfg = cli.RunConfig(alpha_sq=[0.5])
+        got, want = io.StringIO(), io.StringIO()
+        cli.render_json(cfg, "yield", header, iter(rows), {"rows": n}, got)
+        _render_json_per_row(cfg, "yield", header, iter(rows), {"rows": n}, want)
+        out = got.getvalue()
+        assert out == want.getvalue()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [1 / 3, 5e-324, -0.0, math.inf, math.nan, 1e300, 0.1 + 0.2], ids=repr
+    )
+    @pytest.mark.parametrize("kind", [float, np.float64, _Float])
+    def test_cells_round_by_the_jvalue_rule(self, value, kind):
+        # render_json rounds inline; _jvalue is the one definition of the rule
+        cfg = cli.RunConfig(alpha_sq=[0.5])
+        buf = io.StringIO()
+        cli.render_json(cfg, "yield", ["x"], [{"x": kind(value)}], {}, buf)
+        expected = cli._ROW_ENCODER.encode(cli._jvalue(kind(value)))
+        assert f'"x": {expected}\n' in buf.getvalue()
+
+    def test_a_swap_chain_across_block_edges_prints_the_per_row_bytes(self, tmp_path, capsys):
+        # two points of _B + 1 rows: blocks straddle a block edge and the point edge
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.45], swap_depth=_B + 1)
+        argv = ["swap-chain", "--config", cfg, "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        run = cli.resolve_config(cli.build_parser().parse_args(argv))
+        summary = {}
+        rows = cli.cmd_swap_chain(run, summary)
+        header = next(rows)
+        want = io.StringIO()
+        _render_json_per_row(run, "swap-chain", header, rows, summary, want)
+        assert out == want.getvalue()
+
+    def test_a_block_of_rows_is_one_encode_call(self, tmp_path, capsys, monkeypatch):
+        depth = _B + 5
+        cfg = write_config(tmp_path, alpha_sq=[0.3, 0.45], swap_depth=depth)
+        argv = ["swap-chain", "--config", cfg, "--format", "json"]
+        code, plain, _ = run_cli(argv, capsys)
+        assert code == 0
+        blocks = []
+
+        class Counting(json.JSONEncoder):
+            def encode(self, o):
+                blocks.append(len(o))
+                return super().encode(o)
+
+        encoder = cli._ROW_ENCODER
+        separators = (encoder.item_separator, encoder.key_separator)
+        monkeypatch.setattr(cli, "_ROW_ENCODER", Counting(separators=separators))
+        assert run_cli(argv, capsys) == (0, plain, "")
+        assert len(blocks) == math.ceil(2 * depth / _B)
+        assert sum(blocks) == 2 * depth
 
     @staticmethod
     def _json_peak(tmp_path, alpha_sq, depth):
@@ -778,6 +886,20 @@ class TestStreamedOutput:
             with pytest.raises(error):
                 main(argv)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_an_error_mid_table_leaves_whole_blocks_on_stdout(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(tmp_path, alpha_sq=0.3, swap_depth=1000)
+        argv = ["swap-chain", "--config", cfg, "--format", "json"]
+        code, table, _ = run_cli(argv, capsys)
+        assert code == 0
+        self._fail_mid_chain(monkeypatch)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (2, "internal error: injected\n")
+        # rows 1-499 were built; the block the error cut short was not written
+        assert table.startswith(out) and out.endswith("\n    }")
+        assert out.count('"closed_form_check"') == 499 // _B * _B
 
     @pytest.mark.parametrize("fails", [False, True], ids=["whole", "mid-chain-error"])
     def test_an_existing_file_keeps_its_mode_and_is_replaced_only_when_whole(
