@@ -68,16 +68,18 @@ def yield_term(alpha: complex, beta: complex, n: int) -> float:
 
     Rounds 1 and 3 are explicit special cases; every other round uses
     the product form, with the bracket index running from 3 to n-1 (none
-    at n = 2).  Only the moduli of ``alpha`` and ``beta`` enter.  The
-    expression stays fixed even where the exact oracle disagrees (rounds >= 3);
-    ``compare_yield`` surfaces those differences instead of reconciling
-    them.
+    at n = 2).  It reads |alpha|² and |beta|² as given, while the oracle
+    normalizes them, so the two agree only on a normalized pair (every pair
+    the CLI builds is).  The expression stays fixed even where the exact
+    oracle disagrees (rounds >= 3); ``compare_yield`` surfaces those
+    differences instead of reconciling them.
     """
     n = _count(n, "round index", most=MAX_ROUNDS)
     return _term(*(m**2 for m in _moduli(alpha, beta)), n)
 
 
 def yield_series(alpha: complex, beta: complex, n_rounds: int) -> list[float]:
+    """``yield_term`` of rounds 1..``n_rounds``: |alpha|² and |beta|² as given."""
     n_rounds = _count(n_rounds, "round count", most=MAX_ROUNDS)
     x, y = (m**2 for m in _moduli(alpha, beta))  # read once per series
     return [_term(x, y, n) for n in range(1, n_rounds + 1)]
@@ -352,10 +354,11 @@ def compare_yield(
     to a float (``_oracle_floats``).  Any |formula - oracle| above
     ``YIELD_MATCH_TOL`` is carried in the report as a documented
     discrepancy with both values; nothing is clipped or suppressed.  The
-    closed form describes the pi probe's tree; a round in which the
-    configured probe keeps nothing (no one-photon class, or no recycled
-    input to attempt) has an exactly zero oracle yield, and its formula
-    value is 0 as well.
+    formula can match the oracle only on a normalized pair (``yield_term``),
+    as every pair the CLI builds is.  The closed form describes the pi
+    probe's tree; a round in which the configured probe keeps nothing (no
+    one-photon class, or no recycled input to attempt) has an exactly zero
+    oracle yield, and its formula value is 0 as well.
     """
     n_rounds, x, (a_sq, b_sq) = _oracle_weight(alpha, beta, n_rounds)
     oracle, total, live = _oracle_floats(x, n_rounds, _probe_actions(qnd_theta))

@@ -186,14 +186,6 @@ def fmt(x: float) -> str:
     return f"{float(x):.{SIG_DIGITS}g}"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
-
-
 def _jvalue(value):
     # JSON carries the same numeric values the CSV cells parse back to
     if isinstance(value, float):
@@ -250,8 +242,8 @@ def _amplitude_ratio(pair: SingleRailPair) -> float:
     return lo / hi
 
 
-def _closed_form_ratios(pair: SingleRailPair, depth: int) -> list[float]:
-    """The amplitude ratio r**(n+1) after n = 1..``depth`` swaps, with r
+def _closed_form_ratios(pair: SingleRailPair, depth: int) -> Iterator[float]:
+    """Yields the amplitude ratio r**(n+1) after n = 1..``depth`` swaps, with r
     = sqrt(lo/hi) of the pair's exact weights alpha**2 and re**2 + im**2.
 
     The weights, r and its powers are carried to ``REFERENCE_DIGITS``
@@ -266,11 +258,9 @@ def _closed_form_ratios(pair: SingleRailPair, depth: int) -> list[float]:
     alpha, re, im = map(ctx.create_decimal_from_float, coeffs)
     lo, hi = sorted((ctx.multiply(alpha, alpha), ctx.fma(re, re, ctx.multiply(im, im))))
     ratio = power = ctx.sqrt(ctx.divide(lo, hi))
-    out = []
     for _ in range(depth):
         power = ctx.multiply(power, ratio)
-        out.append(float(ctx.to_sci_string(power)))
-    return out
+        yield float(ctx.to_sci_string(power))
 
 
 def cmd_swap_chain(cfg: RunConfig, summary: dict) -> Iterator:
@@ -279,7 +269,6 @@ def cmd_swap_chain(cfg: RunConfig, summary: dict) -> Iterator:
     for x in cfg.alpha_sq:
         pair = _pair(x, cfg.theta_ab)
         chain = _swap_chain(pair, cfg.swap_depth)
-        # the loop alone holds the reference, so it is freed before the next point's
         for n, (link, closed) in enumerate(
             zip(chain, _closed_form_ratios(pair, cfg.swap_depth)), start=1
         ):
@@ -360,7 +349,7 @@ def _yield_table(command: str, cfg: RunConfig, summary: dict) -> Iterator:
         }
         summaries.append(
             {
-                "alpha_sq": x,
+                "alpha_sq": _jvalue(x),
                 "total_yield_formula": _jvalue(report.cumulative_formula),
                 "total_yield_oracle": _jvalue(report.cumulative_oracle),
                 "documented_discrepancies": len(report.discrepancies),
@@ -376,7 +365,8 @@ def render_csv(header: list[str], rows: Iterable[dict], out: IO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(row.get(key)) for key in header])
+        # csv writes None as "" and str() of any other cell
+        writer.writerow([fmt(v) if isinstance(v := row.get(key), float) else v for key in header])
 
 
 #: a flat row as ``json.dumps(doc, indent=2)`` prints it in its braces, encoded in C

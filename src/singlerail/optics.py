@@ -63,8 +63,8 @@ def _program(n0: int, n1: int, c0: tuple, c1: tuple) -> tuple:
     """How |n0,n1> = (x^dag)^n0 (y^dag)^n1 / sqrt(n0! n1!) |00> expands in
     the output basis, on a row of |00> then each creation operator's
     polynomial: the divisor, each term as (source, destination, coefficient,
-    sqrt(n+1) ladder factor) in the order the expansion accumulates it, the
-    last polynomial's start and its output occupations."""
+    sqrt(n+1) ladder factor) in expansion order, the last polynomial's start
+    and its output occupations.  Every ket has one; |0,0>'s is ÷1.0, no ops."""
     keys, ops, base = ((0, 0),), [], 0
     for cu, cv in (c0,) * n0 + (c1,) * n1:
         raised: dict[tuple[int, int], int] = {}
@@ -79,15 +79,15 @@ def _program(n0: int, n1: int, c0: tuple, c1: tuple) -> tuple:
 
 def _kernel(steps: tuple, n: int, wanted: tuple, keys: tuple) -> tuple:
     """The kernel of output slots ``wanted``, keyed ``keys``, from ``n`` kets'
-    ``steps``: per feeding ket with a program (position, divisor, row), the
-    ops of those programs but the last polynomial's that reach no wanted
-    slot, the (source, output) additions, the zeroed rows and ``keys``."""
+    ``steps``: per feeding ket (every ket has a program) its position,
+    divisor and row, the ops of those programs but the last polynomial's that
+    reach no wanted slot, the (source, output) additions, the zeroed rows and
+    ``keys``."""
     out = {slot: n + j for j, slot in enumerate(wanted)}
     divs, flat, adds, top = [], [], [], n + len(out)
     for i, (program, fed) in enumerate(steps):
         needed = [k for k, slot in enumerate(fed) if slot in out]
-        if program is None or not needed:
-            adds += [(i, out[fed[k]]) for k in needed]
+        if not needed:
             continue
         divisor, ops, last, _ = program
         divs.append((i, divisor, top))
@@ -130,9 +130,9 @@ def _slot_plan(reg: ModeRegister, bs: BeamSplitter, support: tuple) -> tuple:
     steps = []
     for occ in support:
         n0, n1 = occ[i0], occ[i1]
-        program = _program(n0, n1, c0, c1) if n0 or n1 else None
+        program = _program(n0, n1, c0, c1)
         lifted, fed = list(occ), []
-        for lifted[i0], lifted[i1] in program[-1] if program else [(n0, n1)]:
+        for lifted[i0], lifted[i1] in program[-1]:
             fed.append(slots.setdefault(tuple(lifted), len(slots)))
         steps.append((program, tuple(fed)))
     n = len(support)

@@ -72,6 +72,11 @@ class TestYieldTerm:
             messages.add(str(excinfo.value))
         assert len(messages) == 1
 
+    def test_squares_that_both_underflow_give_zero_terms(self):
+        # 1e-200 squared is 0.0 on both sides: the balance ratio of two
+        # zero weights is 0, not a ZeroDivisionError
+        assert yield_series(1e-200, 1e-200, 3) == [0.0, 0.0, 0.0]
+
     def test_deep_terms_do_not_overflow(self):
         a, b = coeffs(0.9)
         for n in range(1, 17):

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import singlerail
@@ -414,7 +414,7 @@ class TestSwapChain:
         cases += [(0.500000962, 0.3), (0.49999999, 1.1), (0.5 - 1e-7, -2.5)]
         for alpha_sq, theta_ab in cases:
             pair = _pair(alpha_sq, theta_ab)
-            got = _closed_form_ratios(pair, MAX_SWAP_DEPTH)
+            got = list(_closed_form_ratios(pair, MAX_SWAP_DEPTH))
             alpha, re, im = map(
                 ctx.create_decimal_from_float,
                 (pair.alpha, pair.beta.real, pair.beta.imag),
@@ -699,6 +699,15 @@ class TestOutputEncoding:
         assert doc["config"]["command"] == "concentrate"
         assert doc["summary"]["per_alpha"][0]["documented_discrepancies"] == 2
 
+    def test_json_summary_keys_alpha_sq_as_the_rows_print_it(self, tmp_path, capsys):
+        # the raw grid value has 17 digits, the rows print 15
+        cfg = write_config(tmp_path, alpha_sq=[0.12345678901234568], rounds=2)
+        code, out, _ = run_cli(["yield", "--config", cfg, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert {r["alpha_sq"] for r in doc["rows"]} == {0.123456789012346}
+        assert [s["alpha_sq"] for s in doc["summary"]["per_alpha"]] == [0.123456789012346]
+
 
 def _render_json_per_row(cfg, command, header, rows, summary, out):
     """The reference: ``render_json`` as one encoder call and one write a row."""
@@ -738,6 +747,37 @@ _CELLS = st.one_of(
     st.text(st.sampled_from(["}", "{", ",", '"', "\\", "\n", " ", ":", "é"])),
     st.just('x},\n      {"y": 1'),
 )
+
+
+def _cell(value) -> str:
+    """The reference cell rule: "" for None, ``fmt`` of a float, ``str`` of the rest."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    header=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True),
+    cells=st.lists(_CELLS, min_size=1, max_size=40),
+    n=st.integers(0, 5),
+)
+@example(header=["x"], cells=[None], n=1)
+@example(header=["x", "y"], cells=[_ABSENT, -0.0, math.nan, True, 7, 'a,"b"\n'], n=3)
+@example(header=["x", "y"], cells=[np.float64(0.1), _Float(1 / 3), 5e-324, -math.inf, ""], n=3)
+def test_csv_cells_follow_the_cell_rule(header, cells, n):
+    # render_csv formats floats and leaves every other cell to csv.writer
+    it = iter(cells * (n * len(header) // len(cells) + 1))
+    rows = [{k: c for k, c in zip(header, it) if c is not _ABSENT} for _ in range(n)]
+    got, want = io.StringIO(), io.StringIO()
+    cli.render_csv(header, iter(rows), got)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(row.get(key)) for key in header])
+    assert got.getvalue() == want.getvalue()
 
 
 class TestStreamedOutput:
@@ -824,12 +864,15 @@ class TestStreamedOutput:
         return peak
 
     def test_a_second_point_adds_no_memory(self, tmp_path):
-        # held rows grew by about 170 MB per point at MAX_SWAP_DEPTH
+        # held rows grew by about 170 MB per point at MAX_SWAP_DEPTH, and a
+        # list of the closed-form reference by about 0.6 MB per 18000 swaps
         depth = 20000
         # fills the plan caches for every ket support both chains reach
         warm = write_config(tmp_path, alpha_sq=[0.3, 0.4], swap_depth=4000)
         assert main(["swap-chain", "--config", warm, "--output", str(tmp_path / "w.csv")]) == 0
+        shallow = self._json_peak(tmp_path, [0.3], 2000)
         one = self._json_peak(tmp_path, [0.3], depth)
+        assert one <= 1.2 * shallow
         two = self._json_peak(tmp_path, [0.3, 0.4], depth)
         assert two <= 1.2 * one
         doc = json.loads((tmp_path / "table.json").read_text(encoding="utf-8"))
